@@ -1,28 +1,24 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Hot numeric kernels, one numpy implementation each.
 
-Backend selection is by the environment variable RUINKIT_BACKEND ("numba" or
-"numpy") read at import time; unset means numba when importable, numpy
-otherwise. The compiled and fallback versions of every kernel are both kept
-importable so the benchmark script can time them side by side.
+The Panjer recursion and the Volterra product-trapezoid march are the same
+truncated power-series division (Brent & Kung 1978), solved term by term in
+_series_recurrence: y[0] = head, y[k] = tail[k] + a * sum_{i=1}^{k} kern[i]
+y[k-i]. Scalar python loops of every kernel live in the test suite as
+oracles.
 
-The Monte Carlo kernels draw from a counter-based splitmix64 stream keyed by
+The Monte Carlo kernel draws from a counter-based splitmix64 stream keyed by
 (seed, path index): value = finalize(key_path + (counter+1) * GOLDEN). No
-draw depends on scheduling, worker partitioning, or the order paths run in.
-Integer draw sequences are identical across backends; transcendental math
-(log, cos, sqrt) may round differently in vectorized form, so cross-backend
-agreement of simulation output is statistical, not bitwise. Within one
-backend, output is fully deterministic for a given seed.
+draw depends on how lanes are batched or the order paths run in, so the
+output is a pure function of the arguments.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
     "active_backend",
     "panjer_compound",
     "lattice_convolve",
@@ -30,112 +26,59 @@ __all__ = [
     "mc_ruin_paths",
 ]
 
-_env_backend = os.environ.get("RUINKIT_BACKEND", "").strip().lower()
-if _env_backend not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"RUINKIT_BACKEND={_env_backend!r} not recognized (use 'numba' or 'numpy')"
-    )
-
-HAS_NUMBA = False
-if _env_backend != "numpy":
-    try:
-        from numba import njit as _njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env_backend == "numba":
-            raise RuntimeError("RUINKIT_BACKEND=numba but numba cannot be imported")
-
 
 def active_backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the kernel implementation; there is only numpy."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# Panjer recursion for a compound geometric on a lattice
+# truncated power-series division: Panjer and Volterra
 # ---------------------------------------------------------------------------
 
 
-def _panjer_compound_py(p, q):
-    # g[0] = q / (1-(1-q)p0);  g[k] = (1-q)/(1-(1-q)p0) * sum_{i>=1} p[i] g[k-i]
-    n = p.shape[0]
-    g = np.zeros(n)
+def _series_recurrence(head, tail, a, kern):
+    # y[0] = head;  y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]
+    n = tail.shape[0]
+    y = np.zeros(n)
+    y[0] = head
+    for k in range(1, n):
+        y[k] = tail[k] + a * np.dot(kern[1 : k + 1], y[k - 1 :: -1])
+    return y
+
+
+def panjer_compound(p: np.ndarray, q: float) -> np.ndarray:
+    """Compound-geometric pmf on the lattice via Panjer recursion.
+
+    g[0] = q / d;  g[k] = (1-q)/d * sum_{i>=1} p[i] g[k-i],  d = 1 - (1-q) p[0].
+    """
+    p = np.ascontiguousarray(p, dtype=np.float64)
     denom = 1.0 - (1.0 - q) * p[0]
-    g[0] = q / denom
-    fac = (1.0 - q) / denom
-    for k in range(1, n):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += p[i] * g[k - i]
-        g[k] = fac * acc
-    return g
+    return _series_recurrence(q / denom, np.zeros(p.shape[0]), (1.0 - q) / denom, p)
 
 
-def _panjer_compound_numpy(p, q):
-    n = p.shape[0]
-    g = np.zeros(n)
-    denom = 1.0 - (1.0 - q) * p[0]
-    g[0] = q / denom
-    fac = (1.0 - q) / denom
-    for k in range(1, n):
-        g[k] = fac * np.dot(p[1 : k + 1], g[k - 1 :: -1])
-    return g
+def lattice_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First len(a) coefficients of the convolution of two lattice pmfs."""
+    return np.convolve(a, b)[: len(a)]
 
 
-# ---------------------------------------------------------------------------
-# truncated lattice convolution (two pmf vectors on the same lattice)
-# ---------------------------------------------------------------------------
+def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: float) -> np.ndarray:
+    """Explicit product-trapezoid march; kern[0] must be 0.
 
-
-def _lattice_convolve_py(a, b):
-    n = a.shape[0]
-    out = np.zeros(n)
-    for k in range(n):
-        acc = 0.0
-        for i in range(k + 1):
-            acc += a[i] * b[k - i]
-        out[k] = acc
-    return out
-
-
-def _lattice_convolve_numpy(a, b):
-    return np.convolve(a, b)[: a.shape[0]]
+    psi[k] = forcing[k] + factor*h*(sum_{j=1}^{k-1} kern[j] psi[k-j] + 0.5*kern[k]*psi[0])
+    """
+    forcing = np.ascontiguousarray(forcing, dtype=np.float64)
+    kern = np.ascontiguousarray(kern, dtype=np.float64)
+    if kern[0] != 0.0:
+        raise ValueError("Volterra kernel must vanish at 0 for the explicit march")
+    fh = factor * h
+    # the recurrence weights the j=k end point fully; the tail takes half back
+    tail = forcing - 0.5 * fh * kern * forcing[0]
+    return _series_recurrence(forcing[0], tail, fh, kern)
 
 
 # ---------------------------------------------------------------------------
-# Volterra product-trapezoid marching
-# ---------------------------------------------------------------------------
-
-
-def _volterra_march_py(forcing, kern, factor, h):
-    # psi[k] = forcing[k] + factor*h*( sum_{j=1}^{k-1} kern[j] psi[k-j]
-    #                                  + 0.5*kern[k]*psi[0] )
-    # requires kern[0] == 0 so the implicit j=0 term vanishes
-    n = forcing.shape[0]
-    psi = np.zeros(n)
-    psi[0] = forcing[0]
-    for k in range(1, n):
-        acc = 0.5 * kern[k] * psi[0]
-        for j in range(1, k):
-            acc += kern[j] * psi[k - j]
-        psi[k] = forcing[k] + factor * h * acc
-    return psi
-
-
-def _volterra_march_numpy(forcing, kern, factor, h):
-    n = forcing.shape[0]
-    psi = np.zeros(n)
-    psi[0] = forcing[0]
-    for k in range(1, n):
-        acc = 0.5 * kern[k] * psi[0]
-        if k > 1:
-            acc += np.dot(kern[1:k], psi[k - 1 : 0 : -1])
-        psi[k] = forcing[k] + factor * h * acc
-    return psi
-
-
-# ---------------------------------------------------------------------------
-# counter-based RNG primitives (shared integer arithmetic)
+# counter-based RNG
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -150,149 +93,27 @@ _SH11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
 
-def _rand_u64_py(key, ctr):
+def _rand_u64(key, ctr):
     z = key + (ctr + _ONE) * _GOLDEN
     z = (z ^ (z >> _SH30)) * _MIX1
     z = (z ^ (z >> _SH27)) * _MIX2
     return z ^ (z >> _SH31)
 
 
-def _unif_py(key, ctr):
+def _unif(key, ctr):
     # uniform on (0, 1]; never 0, so logs are safe
-    return float((_rand_u64_py(key, ctr) >> _SH11) + _ONE) * _INV53
-
-
-def _path_key_py(seed_u, path):
-    # avalanche the seed before deriving path keys: mixing both linearly
-    # through the same multiplier would alias (seed, p) with (seed+1, p-1)
-    return _rand_u64_py(_rand_u64_py(_SEED_SALT, seed_u), path)
-
-
-def _rand_u64_arr(key, ctr):
-    z = key + (ctr + _ONE) * _GOLDEN
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
-
-
-def _unif_arr(key, ctr):
-    return ((_rand_u64_arr(key, ctr) >> _SH11) + _ONE).astype(np.float64) * _INV53
+    return ((_rand_u64(key, ctr) >> _SH11) + _ONE).astype(np.float64) * _INV53
 
 
 # ---------------------------------------------------------------------------
-# claim samplers, scalar (numba) form
+# claim samplers, one lane per path
 # family codes: 0 exponential [rate]; 1 gamma [shape, rate];
 #               2 mixture [k, cumw_1..k, rate_1..k]
 # ---------------------------------------------------------------------------
 
 
-def _gamma_mt_py(key, ctr, shape):
-    # Marsaglia-Tsang for shape >= 1, unit rate; returns (value, ctr)
-    d = shape - 1.0 / 3.0
-    cc = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        u1 = _unif_py(key, ctr)
-        ctr += _ONE
-        u2 = _unif_py(key, ctr)
-        ctr += _ONE
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        x = 1.0 + cc * z
-        if x <= 0.0:
-            continue
-        v = x * x * x
-        u = _unif_py(key, ctr)
-        ctr += _ONE
-        if math.log(u) < 0.5 * z * z + d - d * v + d * math.log(v):
-            return d * v, ctr
-
-
-def _draw_claim_py(key, ctr, family, fp):
-    if family == 0:
-        u = _unif_py(key, ctr)
-        ctr += _ONE
-        return -math.log(u) / fp[0], ctr
-    if family == 1:
-        shape = fp[0]
-        rate = fp[1]
-        if shape >= 1.0:
-            g, ctr = _gamma_mt_py(key, ctr, shape)
-            return g / rate, ctr
-        g, ctr = _gamma_mt_py(key, ctr, shape + 1.0)
-        u = _unif_py(key, ctr)
-        ctr += _ONE
-        return g * u ** (1.0 / shape) / rate, ctr
-    # mixture
-    k = int(fp[0])
-    u = _unif_py(key, ctr)
-    ctr += _ONE
-    comp = k - 1
-    for i in range(k):
-        if u <= fp[1 + i]:
-            comp = i
-            break
-    u2 = _unif_py(key, ctr)
-    ctr += _ONE
-    return -math.log(u2) / fp[1 + k + comp], ctr
-
-
-def _mc_ruin_paths_py(seed, n_paths, u0, c, lam, sigma, horizon, family, fp):
-    """Event-driven paths; returns (ruined_by_oscillation, ruined_by_claim)."""
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        return _mc_ruin_paths_py_inner(seed, n_paths, u0, c, lam, sigma, horizon, family, fp)
-
-
-def _mc_ruin_paths_py_inner(seed, n_paths, u0, c, lam, sigma, horizon, family, fp):
-    seed_u = np.uint64(seed)
-    sig2 = sigma * sigma
-    n_osc = 0
-    n_claim = 0
-    for p in range(n_paths):
-        key = _path_key_py(seed_u, np.uint64(p))
-        ctr = np.uint64(0)
-        t = 0.0
-        v = u0
-        while True:
-            u_e = _unif_py(key, ctr)
-            ctr += _ONE
-            e = -math.log(u_e) / lam
-            final_seg = t + e > horizon
-            dt = horizon - t if final_seg else e
-            if sigma > 0.0:
-                u1 = _unif_py(key, ctr)
-                ctr += _ONE
-                u2 = _unif_py(key, ctr)
-                ctr += _ONE
-                z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                v1 = v + c * dt + sigma * math.sqrt(dt) * z
-                if v1 <= 0.0:
-                    n_osc += 1
-                    break
-                u_b = _unif_py(key, ctr)
-                ctr += _ONE
-                if dt > 0.0 and u_b < math.exp(-2.0 * v * v1 / (sig2 * dt)):
-                    n_osc += 1
-                    break
-            else:
-                v1 = v + c * dt
-            if final_seg:
-                break
-            x, ctr = _draw_claim_py(key, ctr, family, fp)
-            v1 -= x
-            if v1 <= 0.0:
-                n_claim += 1
-                break
-            v = v1
-            t += e
-    return n_osc, n_claim
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy Monte Carlo (same draw sequence per path as the scalar one)
-# ---------------------------------------------------------------------------
-
-
-def _gamma_mt_arr(key, ctr, shape):
-    """Vectorized Marsaglia-Tsang, unit rate. Mutates ctr in place."""
+def _gamma_mt(key, ctr, shape):
+    """Marsaglia-Tsang for shape >= 1, unit rate. Mutates ctr in place."""
     n = key.shape[0]
     out = np.empty(n)
     d = shape - 1.0 / 3.0
@@ -300,9 +121,9 @@ def _gamma_mt_arr(key, ctr, shape):
     todo = np.arange(n)
     while todo.size:
         k = key[todo]
-        u1 = _unif_arr(k, ctr[todo])
+        u1 = _unif(k, ctr[todo])
         ctr[todo] += _ONE
-        u2 = _unif_arr(k, ctr[todo])
+        u2 = _unif(k, ctr[todo])
         ctr[todo] += _ONE
         z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
         x = 1.0 + cc * z
@@ -310,7 +131,7 @@ def _gamma_mt_arr(key, ctr, shape):
         cand = todo[pos]
         if cand.size:
             v = x[pos] ** 3
-            u = _unif_arr(key[cand], ctr[cand])
+            u = _unif(key[cand], ctr[cand])
             ctr[cand] += _ONE
             zz = z[pos]
             ok = np.log(u) < 0.5 * zz * zz + d - d * v + d * np.log(v)
@@ -323,40 +144,48 @@ def _gamma_mt_arr(key, ctr, shape):
     return out
 
 
-def _draw_claim_arr(key, ctr, family, fp):
-    """Vectorized claim draw for every lane. Mutates ctr in place."""
+def _draw_claim(key, ctr, family, fp):
+    """One claim per lane. Mutates ctr in place."""
     if family == 0:
-        u = _unif_arr(key, ctr)
+        u = _unif(key, ctr)
         ctr += _ONE
         return -np.log(u) / fp[0]
     if family == 1:
         shape = fp[0]
         rate = fp[1]
         if shape >= 1.0:
-            return _gamma_mt_arr(key, ctr, shape) / rate
-        g = _gamma_mt_arr(key, ctr, shape + 1.0)
-        u = _unif_arr(key, ctr)
+            return _gamma_mt(key, ctr, shape) / rate
+        g = _gamma_mt(key, ctr, shape + 1.0)
+        u = _unif(key, ctr)
         ctr += _ONE
         return g * u ** (1.0 / shape) / rate
     k = int(fp[0])
     cumw = fp[1 : 1 + k]
     rates = fp[1 + k : 1 + 2 * k]
-    u = _unif_arr(key, ctr)
+    u = _unif(key, ctr)
     ctr += _ONE
     comp = np.minimum(np.searchsorted(cumw, u, side="left"), k - 1)
-    u2 = _unif_arr(key, ctr)
+    u2 = _unif(key, ctr)
     ctr += _ONE
     return -np.log(u2) / rates[comp]
 
 
-def _mc_ruin_paths_numpy(seed, n_paths, u0, c, lam, sigma, horizon, family, fp):
-    with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        return _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family, fp)
+# ---------------------------------------------------------------------------
+# event-driven Monte Carlo, all live paths advanced one event at a time
+# ---------------------------------------------------------------------------
 
 
-def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family, fp):
-    base = _rand_u64_py(_SEED_SALT, np.uint64(seed))  # see _path_key_py
-    key = _rand_u64_arr(np.full(n_paths, base, dtype=np.uint64), np.arange(n_paths, dtype=np.uint64))
+@np.errstate(over="ignore")  # uint64 wraparound is the point
+def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
+    """Run the event-driven ruin simulation; returns (n_oscillation, n_claim).
+
+    seed must lie in [0, 2**64).
+    """
+    fp = np.ascontiguousarray(fparams, dtype=np.float64)
+    # avalanche the seed before deriving path keys: mixing both linearly
+    # through the same multiplier would alias (seed, p) with (seed+1, p-1)
+    base = _rand_u64(_SEED_SALT, np.uint64(seed))
+    key = _rand_u64(np.full(n_paths, base, dtype=np.uint64), np.arange(n_paths, dtype=np.uint64))
     ctr = np.zeros(n_paths, dtype=np.uint64)
     t = np.zeros(n_paths)
     v = np.full(n_paths, float(u0))
@@ -366,7 +195,7 @@ def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family
     n_claim = 0
     while alive.size:
         k = key[alive]
-        u_e = _unif_arr(k, ctr[alive])
+        u_e = _unif(k, ctr[alive])
         ctr[alive] += _ONE
         e = -np.log(u_e) / lam
         ta = t[alive]
@@ -374,9 +203,9 @@ def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family
         dt = np.where(final_seg, horizon - ta, e)
         va = v[alive]
         if sigma > 0.0:
-            u1 = _unif_arr(k, ctr[alive])
+            u1 = _unif(k, ctr[alive])
             ctr[alive] += _ONE
-            u2 = _unif_arr(k, ctr[alive])
+            u2 = _unif(k, ctr[alive])
             ctr[alive] += _ONE
             z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
             v1 = va + c * dt + sigma * np.sqrt(dt) * z
@@ -384,7 +213,7 @@ def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family
             safe = ~hit
             if np.any(safe):
                 idx_safe = alive[safe]
-                u_b = _unif_arr(key[idx_safe], ctr[idx_safe])
+                u_b = _unif(key[idx_safe], ctr[idx_safe])
                 ctr[idx_safe] += _ONE
                 with np.errstate(divide="ignore"):
                     cross = np.where(
@@ -403,8 +232,9 @@ def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family
         claim_event = keep & ~final_seg
         if np.any(claim_event):
             idx_claim = alive[claim_event]
-            x = _draw_claim_arr(key[idx_claim], ctr_view := ctr[idx_claim], family, fp)
-            ctr[idx_claim] = ctr_view
+            ctr_claim = ctr[idx_claim]
+            x = _draw_claim(key[idx_claim], ctr_claim, family, fp)
+            ctr[idx_claim] = ctr_claim
             v_after = v1[claim_event] - x
             dead = v_after <= 0.0
             n_claim += int(np.count_nonzero(dead))
@@ -414,164 +244,3 @@ def _mc_ruin_paths_numpy_inner(seed, n_paths, u0, c, lam, sigma, horizon, family
         else:
             alive = alive[:0]
     return n_osc, n_claim
-
-
-# ---------------------------------------------------------------------------
-# backend wiring
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _panjer_compound_nb = _njit(cache=True)(_panjer_compound_py)
-    _lattice_convolve_nb = _njit(cache=True)(_lattice_convolve_py)
-    _volterra_march_nb = _njit(cache=True)(_volterra_march_py)
-    _rand_u64_nb = _njit(cache=True)(_rand_u64_py)
-
-    # the RNG helpers call each other, so rebuild the chain under njit
-    @_njit(cache=True)
-    def _unif_nb(key, ctr):
-        z = key + (ctr + _ONE) * _GOLDEN
-        z = (z ^ (z >> _SH30)) * _MIX1
-        z = (z ^ (z >> _SH27)) * _MIX2
-        z = z ^ (z >> _SH31)
-        return float((z >> _SH11) + _ONE) * _INV53
-
-    @_njit(cache=True)
-    def _gamma_mt_nb(key, ctr, shape):
-        d = shape - 1.0 / 3.0
-        cc = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            u1 = _unif_nb(key, ctr)
-            ctr += _ONE
-            u2 = _unif_nb(key, ctr)
-            ctr += _ONE
-            z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-            x = 1.0 + cc * z
-            if x <= 0.0:
-                continue
-            v = x * x * x
-            u = _unif_nb(key, ctr)
-            ctr += _ONE
-            if math.log(u) < 0.5 * z * z + d - d * v + d * math.log(v):
-                return d * v, ctr
-
-    @_njit(cache=True)
-    def _draw_claim_nb(key, ctr, family, fp):
-        if family == 0:
-            u = _unif_nb(key, ctr)
-            ctr += _ONE
-            return -math.log(u) / fp[0], ctr
-        if family == 1:
-            shape = fp[0]
-            rate = fp[1]
-            if shape >= 1.0:
-                g, ctr = _gamma_mt_nb(key, ctr, shape)
-                return g / rate, ctr
-            g, ctr = _gamma_mt_nb(key, ctr, shape + 1.0)
-            u = _unif_nb(key, ctr)
-            ctr += _ONE
-            return g * u ** (1.0 / shape) / rate, ctr
-        k = int(fp[0])
-        u = _unif_nb(key, ctr)
-        ctr += _ONE
-        comp = k - 1
-        for i in range(k):
-            if u <= fp[1 + i]:
-                comp = i
-                break
-        u2 = _unif_nb(key, ctr)
-        ctr += _ONE
-        return -math.log(u2) / fp[1 + k + comp], ctr
-
-    @_njit(cache=True)
-    def _mc_ruin_paths_nb(seed, n_paths, u0, c, lam, sigma, horizon, family, fp):
-        seed_u = np.uint64(seed)
-        base = _rand_u64_nb(_SEED_SALT, seed_u)  # see _path_key_py
-        sig2 = sigma * sigma
-        n_osc = 0
-        n_claim = 0
-        for p in range(n_paths):
-            key = _rand_u64_nb(base, np.uint64(p))
-            ctr = np.uint64(0)
-            t = 0.0
-            v = u0
-            while True:
-                u_e = _unif_nb(key, ctr)
-                ctr += _ONE
-                e = -math.log(u_e) / lam
-                final_seg = t + e > horizon
-                dt = horizon - t if final_seg else e
-                if sigma > 0.0:
-                    u1 = _unif_nb(key, ctr)
-                    ctr += _ONE
-                    u2 = _unif_nb(key, ctr)
-                    ctr += _ONE
-                    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                    v1 = v + c * dt + sigma * math.sqrt(dt) * z
-                    if v1 <= 0.0:
-                        n_osc += 1
-                        break
-                    u_b = _unif_nb(key, ctr)
-                    ctr += _ONE
-                    if dt > 0.0 and u_b < math.exp(-2.0 * v * v1 / (sig2 * dt)):
-                        n_osc += 1
-                        break
-                else:
-                    v1 = v + c * dt
-                if final_seg:
-                    break
-                x, ctr = _draw_claim_nb(key, ctr, family, fp)
-                v1 -= x
-                if v1 <= 0.0:
-                    n_claim += 1
-                    break
-                v = v1
-                t += e
-        return n_osc, n_claim
-
-
-def panjer_compound(p: np.ndarray, q: float) -> np.ndarray:
-    """Compound-geometric pmf on the lattice via Panjer recursion."""
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    if HAS_NUMBA:
-        return _panjer_compound_nb(p, float(q))
-    return _panjer_compound_numpy(p, float(q))
-
-
-def lattice_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of the convolution of two lattice pmfs."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if HAS_NUMBA:
-        return _lattice_convolve_nb(a, b)
-    return _lattice_convolve_numpy(a, b)
-
-
-def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: float) -> np.ndarray:
-    """Explicit product-trapezoid march; kern[0] must be 0."""
-    forcing = np.ascontiguousarray(forcing, dtype=np.float64)
-    kern = np.ascontiguousarray(kern, dtype=np.float64)
-    if kern[0] != 0.0:
-        raise ValueError("Volterra kernel must vanish at 0 for the explicit march")
-    if HAS_NUMBA:
-        return _volterra_march_nb(forcing, kern, float(factor), float(h))
-    return _volterra_march_numpy(forcing, kern, float(factor), float(h))
-
-
-def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
-    """Run the event-driven ruin simulation; returns (n_oscillation, n_claim)."""
-    fp = np.ascontiguousarray(fparams, dtype=np.float64)
-    seed_u = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    args = (
-        seed_u,
-        int(n_paths),
-        float(u0),
-        float(c),
-        float(lam),
-        float(sigma),
-        float(horizon),
-        int(family),
-        fp,
-    )
-    if HAS_NUMBA:
-        return _mc_ruin_paths_nb(*args)
-    return _mc_ruin_paths_numpy(*args)

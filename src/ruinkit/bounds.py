@@ -115,8 +115,8 @@ def panjer_bounds(
     if model.sigma == 0.0:
         raise ValueError("lattice bounds require a diffusion term (sigma > 0)")
     u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if np.any(u_arr < 0.0):
-        raise ValueError("u values must be nonnegative")
+    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
+        raise ValueError("u values must be finite and nonnegative")
     if convention not in ("published", "strict"):
         raise ValueError(f"unknown convention {convention!r}")
     u_max = float(u_arr.max()) if u_arr.size else 0.0

@@ -126,6 +126,15 @@ def _parse_grid(text: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _note_mixture_rate(model, R: float) -> None:
+    if isinstance(model.claims, MixedExponential):
+        sys.stderr.write(
+            "note: mixture decay-rate root R=%.6e lies below the mgf divergence "
+            "radius %.6e; any quoted rate at or above the radius cannot solve "
+            "the root equation\n" % (R, model.claims.mgf_sup)
+        )
+
+
 def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str, object]]:
     """(name, value-array-or-None) per output column; None means NA."""
     columns: list[tuple[str, object]] = []
@@ -149,13 +158,7 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
                 columns.append(("2pp", approx_mod.two_point_pade(model, u)))
             elif m == "lundberg":
                 res = adjustment_coefficient(model)
-                if isinstance(model.claims, MixedExponential):
-                    sys.stderr.write(
-                        "note: mixture decay-rate root R=%.6e lies below the mgf "
-                        "divergence radius %.6e; any quoted rate at or above the "
-                        "radius cannot solve the root equation\n"
-                        % (res.R, model.claims.mgf_sup)
-                    )
+                _note_mixture_rate(model, res.R)
                 columns.append(("lundberg", np.exp(-res.R * u)))
             else:
                 raise UsageError(f"unknown method {m!r} (choose from {', '.join(_TABLE_METHODS)})")
@@ -253,12 +256,7 @@ def _cmd_bounds(args, model, warnings):
 def _cmd_coef(args, model, warnings):
     res = adjustment_coefficient(model)
     r0 = renyi_coefficient(model)
-    if isinstance(model.claims, MixedExponential):
-        sys.stderr.write(
-            "note: mixture decay-rate root R=%.6e lies below the mgf divergence "
-            "radius %.6e; any quoted rate at or above the radius cannot solve "
-            "the root equation\n" % (res.R, model.claims.mgf_sup)
-        )
+    _note_mixture_rate(model, res.R)
     p = args.precision
     row = [
         f"{res.R:.{p}g}",
@@ -283,9 +281,11 @@ def _cmd_decompose(args, model, warnings):
 def _cmd_simulate(args, model, warnings):
     if args.paths is None or args.seed is None:
         raise UsageError("simulate requires --paths and --seed")
-    est = simulate_ruin(
-        SimConfig(model=model, u=args.u_scalar, n_paths=args.paths, seed=args.seed, horizon=args.horizon)
-    )
+    try:
+        config = SimConfig(model=model, u=args.u_scalar, n_paths=args.paths, seed=args.seed, horizon=args.horizon)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    est = simulate_ruin(config)
     p = args.precision
     row = [
         _fmt(est.ruin_freq, p),

@@ -72,8 +72,8 @@ def exact_ruin(
     """
     scalar = np.isscalar(u)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr < 0.0):
-        raise ValueError("u must be nonnegative")
+    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
+        raise ValueError("u must be finite and nonnegative")
     transform = lambda s: model.pk_transform(s)
     at_zero = 1.0 if model.sigma > 0.0 else 1.0 - model.q
     out = np.empty(u_arr.shape)

@@ -49,8 +49,8 @@ class PerturbedModel:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError("claim intensity lam must be positive")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         mu1 = self.claims.raw_moment(1)
         if (self.loading is None) == (self.premium_rate is None):
             raise ValueError("give exactly one of loading or premium_rate")

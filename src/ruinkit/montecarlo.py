@@ -34,8 +34,8 @@ class SimConfig:
             raise ValueError("initial surplus must be nonnegative")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.horizon is not None and self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
 

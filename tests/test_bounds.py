@@ -135,6 +135,9 @@ def test_validation(exp_model):
     with pytest.raises(ValueError):
         # truncation shorter than the largest requested u
         panjer_bounds(exp_model, 0.1, np.array([50.0]), n_points=100)
+    for u in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="u values must be"):
+            panjer_bounds(exp_model, 0.1, np.array([1.0, u]))
 
 
 def test_curve_metadata(exp_model):

@@ -30,6 +30,9 @@ def test_u_zero_classical():
 def test_negative_u_rejected(exp_model):
     with pytest.raises(ValueError):
         exact_ruin(exp_model, -0.5)
+    for u in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="u must be"):
+            exact_ruin(exp_model, u)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])

@@ -5,6 +5,7 @@ cumulant function of the process increment (values frozen; see the
 docstring of PerturbedModel.central_moments for the nu4 convention).
 """
 
+import numpy as np
 import pytest
 
 from ruinkit import Exponential, Gamma, PerturbedModel, de_vylder_fit
@@ -47,6 +48,9 @@ def test_net_profit_required():
 def test_sigma_nonnegative():
     with pytest.raises(ValueError):
         PerturbedModel(Exponential(1.0), lam=1.0, sigma=-0.5, loading=0.1)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            PerturbedModel(Exponential(1.0), lam=1.0, sigma=sigma, loading=0.1)
 
 
 def test_central_moments_exp():

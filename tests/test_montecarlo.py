@@ -19,8 +19,9 @@ from ruinkit import (
     decompose_ruin,
     simulate_ruin,
 )
-from ruinkit import _kernels as K
+from ruinkit.montecarlo import mc_ruin_paths
 
+from _reference_kernels import _mc_ruin_paths_py
 from conftest import MIX_RATES, MIX_WEIGHTS
 
 
@@ -37,8 +38,16 @@ def test_config_validation(exp_model):
         SimConfig(exp_model, u=1.0, n_paths=0, seed=0)
     with pytest.raises(ValueError):
         SimConfig(exp_model, u=1.0, n_paths=10, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(exp_model, u=1.0, n_paths=10, seed=2**64)
     with pytest.raises(ValueError):
         SimConfig(exp_model, u=1.0, n_paths=10, seed=0, horizon=0.0)
+
+
+def test_largest_seed_is_accepted(heavy_loading_model):
+    est = simulate_ruin(SimConfig(heavy_loading_model, u=1.0, n_paths=200, seed=2**64 - 1))
+    assert est.seed == 2**64 - 1
+    assert 0 < est.ruin_freq < 1
 
 
 def test_deterministic(heavy_loading_model):
@@ -66,17 +75,24 @@ def test_frozen_counts(heavy_loading_model):
 
 
 def test_engines_agree_exactly():
-    # the generator is integer-deterministic, so all three engines must
-    # consume identical streams and produce identical counts
+    # the generator is integer-deterministic, so the vectorized kernel and
+    # the one-path-at-a-time oracle must consume identical streams
     args = (11, 3000, 1.0, 2.0, 1.0, 1.0, 50.0, 0, np.array([1.0]))
-    counts_py = K._mc_ruin_paths_py(*args)
-    counts_np = K._mc_ruin_paths_numpy(*args)
-    assert counts_py == counts_np == (275, 936)
-    if K.HAS_NUMBA:
-        counts_nb = K._mc_ruin_paths_nb(
-            np.uint64(11), 3000, 1.0, 2.0, 1.0, 1.0, 50.0, 0, np.array([1.0])
-        )
-        assert tuple(counts_nb) == counts_py
+    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == (275, 936)
+
+
+@pytest.mark.parametrize(
+    "family, fparams, counts",
+    [
+        (1, [2.5, 2.5], (319, 813)),  # gamma, Marsaglia-Tsang direct
+        (1, [0.5, 0.5], (239, 1064)),  # gamma shape < 1, boosted by u^(1/shape)
+        (2, [3.0, 0.5, 0.8, 1.0, 2.0, 1.0, 0.25], (266, 1543)),  # mixture [k, cumw, rates]
+    ],
+    ids=["gamma2.5", "gamma0.5", "mixture"],
+)
+def test_every_sampler_matches_the_oracle(family, fparams, counts):
+    args = (11, 3000, 1.0, 2.0, 1.0, 1.0, 50.0, family, np.array(fparams))
+    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == counts
 
 
 def test_nearby_seeds_give_independent_streams():
