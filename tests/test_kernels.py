@@ -39,6 +39,12 @@ def test_convolve_matches_reference_loop(ladder):
     assert r.shape == a.shape
 
 
+def test_convolve_against_numpy_reference(ladder):
+    # the contract any faster kernel must keep: the full convolution, truncated
+    a, b = ladder.p_lower, ladder.p_upper
+    np.testing.assert_allclose(lattice_convolve(a, b), np.convolve(a, b)[: a.size], rtol=1e-12, atol=1e-18)
+
+
 def test_volterra_matches_reference_loop():
     x = np.linspace(0.0, 5.0, 501)
     kern = x * np.exp(-x)  # vanishes at 0 as the march requires
