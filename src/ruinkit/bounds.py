@@ -55,8 +55,7 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
     pushed down to nw. p_n^+ = H3(nw) - H3((n-1)w) with p_0^+ = 0: mass
     pushed up. One CDF evaluation per cell edge.
     """
-    if lattice_width <= 0.0:
-        raise ValueError("lattice_width must be positive")
+    _check_width(lattice_width)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     tau = model.tau
@@ -73,6 +72,11 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
         truncation_index=int(n_points),
         mass_deficit=float(1.0 - cdf[-2]),  # 1 - sum(p_upper)
     )
+
+
+def _check_width(lattice_width: float) -> None:
+    if not 0.0 < lattice_width < np.inf:
+        raise ValueError(f"lattice_width must be finite and positive, got {lattice_width!r}")
 
 
 def _record_cells(model: PerturbedModel, lattice_width: float, n_points: int):
@@ -119,6 +123,7 @@ def panjer_bounds(
         raise ValueError("u values must be finite and nonnegative")
     if convention not in ("published", "strict"):
         raise ValueError(f"unknown convention {convention!r}")
+    _check_width(lattice_width)
     u_max = float(u_arr.max()) if u_arr.size else 0.0
     need = ceil(u_max / lattice_width - 1e-12) + 1
     if n_points is None:

@@ -438,6 +438,10 @@ def _require(args) -> None:
         if getattr(args, field, None) is None:
             flag = "--u" if field == "u_scalar" else "--" + field
             raise UsageError(f"{args.command} requires {flag}")
+    for field in ("lattice", "umax", "step"):
+        value = getattr(args, field, None)
+        if value is not None and not 0.0 < value < np.inf:
+            raise UsageError(f"--{field} must be finite and positive, got {value!r}")
 
 
 if __name__ == "__main__":

@@ -96,8 +96,9 @@ def decompose_ruin(
     """
     if model.sigma == 0.0:
         raise ValueError("the cause split requires a diffusion term (sigma > 0)")
-    if u_max <= 0.0 or step <= 0.0:
-        raise ValueError("u_max and step must be positive")
+    for name, value in (("u_max", u_max), ("step", step)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if refine < 1:
         raise ValueError("refine must be at least 1")
     tau = model.tau

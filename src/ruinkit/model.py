@@ -47,18 +47,20 @@ class PerturbedModel:
     premium_rate: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("claim intensity lam must be positive")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError("claim intensity lam must be finite and positive")
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError("sigma must be finite and nonnegative")
         mu1 = self.claims.raw_moment(1)
         if (self.loading is None) == (self.premium_rate is None):
             raise ValueError("give exactly one of loading or premium_rate")
         if self.loading is not None:
-            if not self.loading > 0.0:
-                raise ValueError("loading must be positive")
+            if not 0.0 < self.loading < np.inf:
+                raise ValueError("loading must be finite and positive")
             object.__setattr__(self, "premium_rate", (1.0 + self.loading) * self.lam * mu1)
         else:
+            if not self.premium_rate < np.inf:
+                raise ValueError("premium_rate must be finite")
             object.__setattr__(self, "loading", self.premium_rate / (self.lam * mu1) - 1.0)
         if not self.premium_rate - self.lam * mu1 > 0.0:
             raise ValueError("net profit condition violated: c <= lam * mu1")

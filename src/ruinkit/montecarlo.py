@@ -30,14 +30,15 @@ class SimConfig:
     horizon: float | None = None  # None: 50 mean-drift time constants
 
     def __post_init__(self):
-        if self.u < 0.0:
-            raise ValueError("initial surplus must be nonnegative")
+        if not 0.0 <= self.u < np.inf:
+            raise ValueError("initial surplus u must be finite and nonnegative")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be in [0, 2**64)")
-        if self.horizon is not None and self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        # an infinite (or NaN) horizon never ends a surviving path
+        if self.horizon is not None and not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be finite and positive")
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:

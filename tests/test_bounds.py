@@ -40,6 +40,9 @@ class TestDiscretizeLadder:
             discretize_ladder(exp_model, 0.0, 50)
         with pytest.raises(ValueError):
             discretize_ladder(exp_model, 0.1, 0)
+        for width in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lattice_width"):
+                discretize_ladder(exp_model, width, 50)
 
 
 class TestPublishedConvention:
@@ -138,6 +141,9 @@ def test_validation(exp_model):
     for u in (np.nan, np.inf):
         with pytest.raises(ValueError, match="u values must be"):
             panjer_bounds(exp_model, 0.1, np.array([1.0, u]))
+    for width in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="lattice_width"):
+            panjer_bounds(exp_model, width, np.array([1.0]))
 
 
 def test_curve_metadata(exp_model):

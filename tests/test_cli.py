@@ -234,6 +234,11 @@ def test_usage_errors_exit_1(capsys):
         ["simulate", "--model", EXP_MODEL, "--u", "1"],  # missing paths/seed
         ["simulate", "--model", EXP_MODEL, "--u", "1", "--paths", "10", "--seed", str(2**64)],
         ["exact", "--model", EXP_MODEL, "--u", "1", "--precision", "0"],
+        ["bounds", "--model", EXP_MODEL, "--u", "1", "--lattice", "inf"],
+        ["bounds", "--model", EXP_MODEL, "--u", "1", "--lattice", "nan"],
+        ["decompose", "--model", EXP_MODEL, "--umax", "inf"],
+        ["decompose", "--model", EXP_MODEL, "--umax", "nan"],
+        ["decompose", "--model", EXP_MODEL, "--umax", "1", "--step", "nan"],
     ]
     for argv in cases:
         rc, out, err = run_cli(argv, capsys)

@@ -150,6 +150,11 @@ class TestDecomposition:
             decompose_ruin(exp_model, 1.0, step=0.0)
         with pytest.raises(ValueError):
             decompose_ruin(exp_model, 1.0, step=0.01, refine=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="u_max"):
+                decompose_ruin(exp_model, bad)
+            with pytest.raises(ValueError, match="step"):
+                decompose_ruin(exp_model, 1.0, step=bad)
 
     def test_labels(self, exp_model):
         dec = decompose_ruin(exp_model, 1.0, step=0.1)

@@ -54,6 +54,53 @@ def test_volterra_matches_reference_loop():
     )
 
 
+@pytest.mark.parametrize("n", [65, 1000, 1537])
+def test_division_matches_reference_loops_across_the_head(n):
+    # sizes just past the exactly-solved head and with uneven Newton doubling steps
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.1)
+    p = discretize_ladder(m, 0.1, n).p_lower
+    np.testing.assert_allclose(panjer_compound(p, m.q), _panjer_compound_py(p, m.q), rtol=1e-12)
+    x = np.linspace(0.0, 5.0, n)
+    kern = x * np.exp(-x)
+    forcing = np.exp(-2.0 * x)
+    h = x[1]
+    np.testing.assert_allclose(
+        volterra_march(forcing, kern, 0.9, h), _volterra_march_py(forcing, kern, 0.9, h), rtol=1e-12
+    )
+
+
+def test_leading_terms_do_not_depend_on_length(ladder):
+    p = ladder.p_lower
+    x = np.linspace(0.0, 40.0, p.size)
+    kern = x * np.exp(-x)
+    forcing = np.exp(-2.0 * x)
+    head_p = panjer_compound(p[:64], 0.1)
+    head_v = volterra_march(forcing[:64], kern[:64], 0.9, x[1])
+    for n in (65, 200, p.size):
+        assert np.array_equal(panjer_compound(p[:n], 0.1)[:64], head_p)
+        assert np.array_equal(volterra_march(forcing[:n], kern[:n], 0.9, x[1])[:64], head_v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_panjer_deep_tail_matches_closed_form():
+    # geometric ladder p[k] = (1-rho) rho^(k-1): the compound pmf is
+    # g[0] = q, g[k] = q (1-q) (1-rho) s^(k-1) with s = rho + (1-q)(1-rho).
+    # At n = 3500 the Lundberg tilt e^(b k) itself would pass the float range.
+    q = rho = 0.5
+    n = 3500
+    k = np.arange(1, n)
+    p = np.zeros(n)
+    p[1:] = (1.0 - rho) * rho ** (k - 1.0)
+    s = rho + (1.0 - q) * (1.0 - rho)
+    exact = np.concatenate(([q], q * (1.0 - q) * (1.0 - rho) * s ** (k - 1.0)))
+    g = panjer_compound(p, q)
+    big = exact >= 1e-290
+    assert big[:2000].all()
+    np.testing.assert_allclose(g[big], exact[big], rtol=1e-12)
+    assert np.all(np.isfinite(g))
+    assert np.all((g[~big] >= 0.0) & (g[~big] <= 1e-290))
+
+
 def test_volterra_rejects_nonzero_kernel_origin():
     forcing = np.ones(10)
     kern = np.ones(10)

@@ -43,6 +43,13 @@ def test_net_profit_required():
         PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.0)
     with pytest.raises(ValueError):
         PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, premium_rate=0.9)
+    # an infinite margin would give q = 1 and psi = 0 everywhere
+    with pytest.raises(ValueError, match="loading"):
+        PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=np.inf)
+    with pytest.raises(ValueError, match="premium_rate"):
+        PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, premium_rate=np.inf)
+    with pytest.raises(ValueError, match="intensity lam must be finite"):
+        PerturbedModel(Exponential(1.0), lam=np.inf, sigma=1.0, loading=0.1)
 
 
 def test_sigma_nonnegative():

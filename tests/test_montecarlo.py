@@ -42,6 +42,12 @@ def test_config_validation(exp_model):
         SimConfig(exp_model, u=1.0, n_paths=10, seed=2**64)
     with pytest.raises(ValueError):
         SimConfig(exp_model, u=1.0, n_paths=10, seed=0, horizon=0.0)
+    # validation only: a NaN or infinite horizon would never end a surviving path
+    for horizon in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            SimConfig(exp_model, u=1.0, n_paths=10, seed=0, horizon=horizon)
+    with pytest.raises(ValueError, match="surplus"):
+        SimConfig(exp_model, u=np.nan, n_paths=10, seed=0)
 
 
 def test_largest_seed_is_accepted(heavy_loading_model):
