@@ -134,12 +134,13 @@ def panjer_bounds(
             f"(need at least {need} cells for u_max={u_max})"
         )
 
+    if convention == "published" and model.loading >= 1.0:
+        raise ValueError("published convention is defined only for loading < 1")
+
     ladder = discretize_ladder(model, lattice_width, n_points)
 
     if convention == "published":
         theta = model.loading
-        if theta >= 1.0:
-            raise ValueError("published convention is defined only for loading < 1")
         q_geom = theta / (1.0 - theta)
         pmf_lower = panjer_compound(ladder.p_lower, q_geom)
         pmf_upper = panjer_compound(ladder.p_upper, q_geom)

@@ -1,11 +1,13 @@
 """Claim-size distributions for the perturbed compound Poisson surplus model.
 
 Each distribution exposes closed-form raw moments (orders 1 through 5), the
-moment generating function and its Laplace counterpart, tail probabilities,
-the integrated-tail (equilibrium) transforms, and the distribution function
-of the combined ladder height: the sum of an Exp(tau) oscillation record and
-an equilibrium-distributed claim record. The bound and decomposition solvers
-consume that combined CDF, written h3_cdf / h3_density here.
+moment generating function and its Laplace counterpart, tail probabilities
+and their integral, the integrated-tail (equilibrium) transforms, and the
+distribution function of the combined ladder height: the sum of an Exp(tau)
+oscillation record and an equilibrium-distributed claim record. The bound and
+decomposition solvers consume that combined CDF, written h3_cdf / h3_density
+here. One base-class path computes it for every family from tail() and
+integrated_tail() alone.
 
 All pointwise functions accept scalars or numpy arrays and return a matching
 shape. Transform functions (mgf, laplace, equilibrium_laplace) also accept
@@ -21,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "ClaimDistribution",
@@ -32,9 +34,19 @@ __all__ = [
 
 _MAX_MOMENT_ORDER = 5
 
-# Relative window around tau = rate inside which the removable-singularity
-# branch of the ladder closed forms is used instead of the direct quotient.
-_SINGULAR_REL_TOL = 1e-9
+# the ladder panel rule: 8-node Gauss-Legendre on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# knots 2^-50 .. 2^0 of the panel width: near the origin no panel is wider
+# than its distance from 0 (a gamma tail with shape < 1 has a power kink there)
+_GRADING = np.exp2(-np.arange(50, -1, -1.0))
+# largest tau-span of one block of the ladder's cumulative sum: e^{lag} stays
+# finite and carries a relative error of at most 600 * 1.1e-16
+_BLOCK_SPAN = 600.0
+# a stretch more than _REACH / tau below a point is weighted by at most
+# e^{-750}, under the smallest subnormal double
+_REACH = 750.0
+# panels evaluated at once, which bounds the memory of one ladder call
+_CHUNK_PANELS = 4096
 
 
 def _maybe_scalar(value: np.ndarray, scalar_input: bool):
@@ -129,74 +141,100 @@ class ClaimDistribution(ABC):
 
     # -- combined ladder height --------------------------------------------
 
+    @abstractmethod
+    def integrated_tail(self, x):
+        """int_0^x tail(t) dt in closed form; tends to the mean."""
+
     def h3_cdf(self, x, tau: float):
         """CDF of (Exp(tau) record) + (equilibrium claim record) at x.
 
-        Uses a closed form where the family admits one, otherwise adaptive
-        quadrature with absolute tolerance 1e-10.
+        H3 = He - J, with He = integrated_tail / mean the equilibrium CDF and
+        J(x) = int_0^x e^{-tau(x-t)} he(t) dt from _ladder_integral; 0 for
+        x <= 0. The same path serves every family.
         """
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        scalar_input = np.isscalar(x)
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        closed = self._h3_cdf_closed(arr, tau)
-        if closed is None:
-            closed = self._h3_quad(arr, tau, density=False)
-        return _maybe_scalar(closed, scalar_input)
+        arr, scalar_input = _ladder_args(x, tau)
+        out = np.zeros(arr.shape)
+        pos = arr > 0.0
+        xs = arr[pos]
+        out[pos] = (self.integrated_tail(xs) - self._ladder_integral(xs, tau)) / self.mean
+        return _maybe_scalar(out, scalar_input)
 
     def h3_density(self, x, tau: float):
-        """Density of the combined ladder height; vanishes at x = 0."""
-        if tau <= 0.0:
-            raise ValueError("tau must be positive")
-        scalar_input = np.isscalar(x)
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        closed = self._h3_density_closed(arr, tau)
-        if closed is None:
-            closed = self._h3_quad(arr, tau, density=True)
-        return _maybe_scalar(closed, scalar_input)
+        """Density of the combined ladder height, tau * J(x); 0 for x <= 0.
 
-    def _h3_cdf_closed(self, x: np.ndarray, tau: float):
-        return None
+        Every term of J is positive, so the density keeps its relative
+        accuracy in the tail.
+        """
+        arr, scalar_input = _ladder_args(x, tau)
+        out = np.zeros(arr.shape)
+        pos = arr > 0.0
+        out[pos] = tau * self._ladder_integral(arr[pos], tau) / self.mean
+        return _maybe_scalar(out, scalar_input)
 
-    def _h3_density_closed(self, x: np.ndarray, tau: float):
-        return None
+    def _ladder_integral(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """int_0^x e^{-tau(x-t)} tail(t) dt at each positive finite x.
 
-    def _h3_quad(self, x: np.ndarray, tau: float, density: bool) -> np.ndarray:
-        mu1 = self.raw_moment(1)
-        out = np.empty(x.shape, dtype=float)
-        for i, xi in enumerate(x.ravel()):
-            if xi <= 0.0:
-                out.flat[i] = 0.0
-                continue
-            if density:
-                f = lambda t: tau * math.exp(-tau * (xi - t)) * self.tail(t) / mu1
-            else:
-                f = lambda t: -math.expm1(-tau * (xi - t)) * self.tail(t) / mu1
-            val, _ = integrate.quad(f, 0.0, xi, epsabs=1e-10, epsrel=1e-10, limit=200)
-            out.flat[i] = val
-        return out
+        One forward pass over panels whose edges are the query points, a
+        dyadic grading toward 0 and equal splits no wider than 1/tau, the
+        claim mean or its standard deviation; each panel takes an 8-node
+        Gauss-Legendre rule and the integral moves forward as
+        J_k = e^{-tau(hi_k - hi_{k-1})} J_{k-1} + panel_k. A gap is
+        integrated only over its last _REACH / tau: what lies below is scaled
+        by e^{-_REACH}, under the smallest double.
+        """
+        if np.all(x[1:] > x[:-1]):  # both solvers pass increasing points
+            pts, inverse = x, None
+        else:
+            pts, inverse = np.unique(x, return_inverse=True)
+        width = min(1.0 / tau, self.mean, math.sqrt(self.raw_moment(2) - self.mean**2))
+        grading = width * _GRADING
+        knots = np.insert(pts, np.searchsorted(pts, grading), grading)
+        at = np.arange(pts.size) + np.searchsorted(grading, pts, side="right")
+
+        start = np.maximum(np.concatenate(([0.0], knots[:-1])), knots - _REACH / tau)
+        pieces = np.maximum(np.ceil((knots - start) / width), 1.0).astype(np.intp)
+        last = np.cumsum(pieces) - 1  # panel ending at each knot
+        gap = np.repeat(np.arange(knots.size), pieces)
+        hi = knots[gap] - (knots - start)[gap] * ((last[gap] - np.arange(gap.size)) / pieces[gap])
+        lo = np.concatenate(([0.0], hi[:-1]))
+        lo[last - pieces + 1] = start
+
+        # J_k = e^{-lag_k} (J_first + sum_j e^{lag_j} panel_j), lag_k = tau (hi_k - hi_first),
+        # in blocks of bounded tau-span (so e^{lag} stays finite) and size;
+        # every term is positive, so nothing cancels
+        out = np.empty(hi.size)
+        carry = prev = 0.0
+        k = 0
+        while k < hi.size:
+            stop = min(k + _CHUNK_PANELS, np.searchsorted(hi, hi[k] + _BLOCK_SPAN / tau, side="right"))
+            half = 0.5 * (hi[k:stop] - lo[k:stop])
+            lag = tau * (hi[k:stop] - hi[k])
+            back = half[:, None] * (1.0 - _GL_NODES)  # hi - node
+            vals = self.tail(hi[k:stop, None] - back) * np.exp(lag[:, None] - tau * back)
+            head = carry * math.exp(-tau * (hi[k] - prev))
+            out[k:stop] = np.exp(-lag) * (head + np.cumsum((vals @ _GL_WEIGHTS) * half))
+            carry, prev, k = out[stop - 1], hi[stop - 1], stop
+        values = out[last[at]]
+        return values if inverse is None else values[inverse]
+
+
+def _check_parameter(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _ladder_args(x, tau: float):
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    return arr, np.isscalar(x)
 
 
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
-
-
-def _exp_ladder_pieces(x: np.ndarray, rate: float, tau: float):
-    """Per-component ladder integrals shared by Exponential and the mixture.
-
-    Returns (cdf_piece, density_piece) for a unit-weight Exp(rate) component,
-    before division by the mixture mean: cdf_piece integrates to 1/rate.
-    """
-    ex = np.exp(-rate * x)
-    if abs(tau - rate) < _SINGULAR_REL_TOL * rate:
-        # removable singularity tau = rate, limit branch
-        cross = x * ex
-    else:
-        cross = (ex - np.exp(-tau * x)) / (tau - rate)
-    cdf_piece = (1.0 - ex) / rate - cross
-    density_piece = tau * cross
-    return cdf_piece, density_piece
 
 
 @dataclass(frozen=True)
@@ -206,8 +244,7 @@ class Exponential(ClaimDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError("rate must be positive")
+        _check_parameter("rate", self.rate)
 
     def raw_moment(self, k: int) -> float:
         self._check_order(k)
@@ -226,13 +263,8 @@ class Exponential(ClaimDistribution):
     def tail(self, x):
         return np.exp(-self.rate * np.asarray(x)) if not np.isscalar(x) else math.exp(-self.rate * x)
 
-    def _h3_cdf_closed(self, x: np.ndarray, tau: float):
-        cdf_piece, _ = _exp_ladder_pieces(x, self.rate, tau)
-        return self.rate * cdf_piece
-
-    def _h3_density_closed(self, x: np.ndarray, tau: float):
-        _, density_piece = _exp_ladder_pieces(x, self.rate, tau)
-        return self.rate * density_piece
+    def integrated_tail(self, x):
+        return -np.expm1(-self.rate * np.asarray(x)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -243,8 +275,8 @@ class Gamma(ClaimDistribution):
     rate: float
 
     def __post_init__(self):
-        if not self.shape > 0.0 or not self.rate > 0.0:
-            raise ValueError("shape and rate must be positive")
+        _check_parameter("shape", self.shape)
+        _check_parameter("rate", self.rate)
 
     def raw_moment(self, k: int) -> float:
         self._check_order(k)
@@ -267,59 +299,11 @@ class Gamma(ClaimDistribution):
     def tail(self, x):
         return special.gammaincc(self.shape, self.rate * np.asarray(x))
 
-    def _integer_shape(self) -> int | None:
-        m = round(self.shape)
-        if m >= 1 and abs(self.shape - m) < 1e-12:
-            return m
-        return None
-
-    def _ladder_sum(self, x: np.ndarray, tau: float):
-        """e^{-tau x}-weighted ladder integral, expanded termwise.
-
-        Returns sum_j (beta^j/j!) * int_0^x t^j e^{(tau-beta)t} dt folded with
-        the outer e^{-tau x}, i.e. the subtracted part of the ladder CDF, or
-        None when the closed form would lose too many digits (tau close to
-        the claim rate amplifies the 1/a^{j+1} terms).
-        """
-        m = self._integer_shape()
-        if m is None:
-            return None
-        beta = self.rate
-        a = tau - beta
-        if abs(a) < _SINGULAR_REL_TOL * beta:
-            return None
-        # predicted cancellation magnitude of the largest term
-        if 1e-16 * math.factorial(m - 1) / abs(a) ** m > 1e-10:
-            return None
-        ebx = np.exp(-beta * x)
-        etx = np.exp(-tau * x)
-        ax = a * x
-        total = np.zeros_like(x)
-        for j in range(m):
-            poly = np.zeros_like(x)
-            for i in range(j + 1):
-                poly += (-1.0) ** (j - i) * ax**i / math.factorial(i)
-            total += (beta**j) * (ebx * poly - (-1.0) ** j * etx) / a ** (j + 1)
-        return (beta / m) * total
-
-    def _h3_cdf_closed(self, x: np.ndarray, tau: float):
-        m = self._integer_shape()
-        if m is None:
-            return None
-        part = self._ladder_sum(x, tau)
-        if part is None:
-            return None
-        bx = self.rate * x
-        h2 = np.zeros_like(x)
-        for j in range(1, m + 1):
-            h2 += special.gammainc(j, bx)
-        return h2 / m - part
-
-    def _h3_density_closed(self, x: np.ndarray, tau: float):
-        part = self._ladder_sum(x, tau)
-        if part is None:
-            return None
-        return tau * part
+    def integrated_tail(self, x):
+        # x Q(a, bx) plus int_0^x t f(t) dt = (a/b) P(a+1, bx)
+        x_arr = np.asarray(x)
+        bx = self.rate * x_arr
+        return x_arr * special.gammaincc(self.shape, bx) + self.mean * special.gammainc(self.shape + 1.0, bx)
 
 
 @dataclass(frozen=True)
@@ -334,8 +318,10 @@ class MixedExponential(ClaimDistribution):
         object.__setattr__(self, "rates", tuple(float(b) for b in self.rates))
         if len(self.weights) != len(self.rates) or not self.weights:
             raise ValueError("weights and rates must be equal-length, nonempty")
-        if any(w <= 0.0 for w in self.weights) or any(b <= 0.0 for b in self.rates):
-            raise ValueError("weights and rates must be positive")
+        for w in self.weights:
+            _check_parameter("weight", w)
+        for b in self.rates:
+            _check_parameter("rate", b)
         if abs(sum(self.weights) - 1.0) > 1e-6:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, expected 1")
 
@@ -361,18 +347,6 @@ class MixedExponential(ClaimDistribution):
         x_arr = np.asarray(x)
         return sum(w * np.exp(-b * x_arr) for w, b in zip(self.weights, self.rates))
 
-    def _h3_cdf_closed(self, x: np.ndarray, tau: float):
-        mu1 = self.raw_moment(1)
-        total = np.zeros_like(x)
-        for w, b in zip(self.weights, self.rates):
-            cdf_piece, _ = _exp_ladder_pieces(x, b, tau)
-            total += w * cdf_piece
-        return total / mu1
-
-    def _h3_density_closed(self, x: np.ndarray, tau: float):
-        mu1 = self.raw_moment(1)
-        total = np.zeros_like(x)
-        for w, b in zip(self.weights, self.rates):
-            _, density_piece = _exp_ladder_pieces(x, b, tau)
-            total += w * density_piece
-        return total / mu1
+    def integrated_tail(self, x):
+        x_arr = np.asarray(x)
+        return sum(w * -np.expm1(-b * x_arr) / b for w, b in zip(self.weights, self.rates))

@@ -1,13 +1,19 @@
 """Claim distribution families: moments, transforms, ladder-height cdfs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ruinkit
 from ruinkit import Exponential, Gamma, MixedExponential
 
+import _reference_ladder as ref
 from conftest import MIX_RATES, MIX_WEIGHTS
 
 
@@ -45,6 +51,11 @@ class TestExponential:
         # equilibrium of Exp is Exp again
         assert d.equilibrium_density(0.5) == pytest.approx(2.0 * math.exp(-1.0))
 
+    def test_rate_must_be_finite_and_positive(self):
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate must be finite and positive"):
+                Exponential(rate)
+
 
 class TestGamma:
     def test_raw_moments(self):
@@ -63,6 +74,20 @@ class TestGamma:
 
     def test_mgf_sup_is_rate(self):
         assert Gamma(2.5, 1.3).mgf_sup == 1.3
+
+    def test_parameters_must_be_finite_and_positive(self):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="shape must be finite and positive"):
+                Gamma(bad, 1.0)
+            with pytest.raises(ValueError, match="rate must be finite and positive"):
+                Gamma(2.0, bad)
+
+    def test_integrated_tail_matches_quadrature(self):
+        for shape in (0.5, 2.5):
+            d = Gamma(shape, 1.3)
+            for x in (0.01, 1.0, 7.0):
+                num, _ = quad(d.tail, 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=200)
+                assert d.integrated_tail(x) == pytest.approx(num, rel=1e-12)
 
     def test_noninteger_shape_uses_quadrature(self):
         d = Gamma(2.5, 2.0)
@@ -107,6 +132,8 @@ class TestMixedExponential:
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError):
             MixedExponential((0.5, 0.5), (1.0, -2.0))
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            MixedExponential((0.5, 0.5), (1.0, math.inf))
 
 
 class TestEquilibriumLaplace:
@@ -175,3 +202,109 @@ class TestLadderCdf:
 
     def test_zero_is_zero(self):
         assert Exponential(1.0).h3_cdf(0.0, self.TAU) == 0.0
+
+
+def _oracle_family(name):
+    if name == "mix":
+        return MixedExponential(MIX_WEIGHTS, MIX_RATES)
+    if name.startswith("exp"):
+        return Exponential(float(name[3:]))
+    shape = float(name[5:])
+    return Gamma(shape, shape)
+
+
+class TestLadderGenericPath:
+    """One panel recurrence on tail() serves every family."""
+
+    @pytest.mark.parametrize("name", ref.ORACLE_FAMILIES)
+    def test_matches_mpmath_oracle(self, name):
+        d = _oracle_family(name)
+        for tau in ref.ORACLE_TAUS:
+            x = np.array(ref.ORACLE_XS)
+            cdf = np.array([ref.LADDER_ORACLE[name, tau, xi][0] for xi in ref.ORACLE_XS])
+            dens = np.array([ref.LADDER_ORACLE[name, tau, xi][1] for xi in ref.ORACLE_XS])
+            np.testing.assert_allclose(d.h3_cdf(x, tau), cdf, rtol=5e-12, atol=0.0, err_msg=f"{name} tau={tau}")
+            np.testing.assert_allclose(d.h3_density(x, tau), dens, rtol=1e-12, atol=0.0, err_msg=f"{name} tau={tau}")
+
+    # the lattice grids of the benchmark's strict-bounds and cause-split jobs
+    # (tau = 2.02); the gamma closed form subtracts terms of size up to
+    # rate / (tau - rate)^2 = 5000, which leaves it an absolute error of
+    # about 6e-13, so the cdf comparison carries atol 1e-12
+    @pytest.mark.parametrize("case", [
+        ("exp", 0.005, 42001),
+        ("mixture", 0.005, 42001),
+        ("gamma", 0.01, 12001),
+        ("exp", 0.0025, 40001),
+        ("mixture", 0.0025, 40001),
+    ], ids=["exp-w0.005", "mixture-w0.005", "gamma-w0.01", "exp-h0.0025", "mixture-h0.0025"])
+    def test_matches_reference_closed_forms(self, case):
+        family, width, n = case
+        tau = 2.02
+        x = np.arange(n) * width
+        if family == "exp":
+            d, (cdf, dens) = Exponential(1.0), ref.exponential_ladder(x, 1.0, tau)
+        elif family == "mixture":
+            d, (cdf, dens) = MixedExponential(MIX_WEIGHTS, MIX_RATES), ref.mixture_ladder(x, MIX_WEIGHTS, MIX_RATES, tau)
+        else:
+            d, (cdf, dens) = Gamma(2.0, 2.0), ref.gamma_integer_ladder(x, 2.0, 2.0, tau)
+        np.testing.assert_allclose(d.h3_cdf(x, tau), cdf, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(d.h3_density(x, tau), dens, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("dist", [
+        Exponential(1.0),
+        Gamma(0.5, 0.5),
+        MixedExponential(MIX_WEIGHTS, MIX_RATES),
+    ], ids=["exp", "gamma0.5", "mixture"])
+    def test_any_order_and_shape_equals_scalar_calls(self, dist):
+        tau = 2.02
+        x = np.array([[3.0, 0.3, 0.0], [0.3, -1.0, 12.5], [1e-9, 3.0, 0.05]])
+        cdf = dist.h3_cdf(x, tau)
+        dens = dist.h3_density(x, tau)
+        assert cdf.shape == dens.shape == x.shape
+        for idx, xi in np.ndenumerate(x):
+            assert cdf[idx] == pytest.approx(dist.h3_cdf(float(xi), tau), rel=1e-13, abs=1e-300)
+            assert dens[idx] == pytest.approx(dist.h3_density(float(xi), tau), rel=1e-13, abs=1e-300)
+        assert cdf[1, 1] == dens[1, 1] == 0.0  # nothing below 0
+        assert cdf[0, 2] == dens[0, 2] == 0.0
+
+    def test_sparse_points_match_a_dense_grid(self):
+        # Gamma(50, 50) concentrates within a standard deviation of 0.14
+        # around its mean 1, so panels as wide as the mean would miss it
+        d = Gamma(50.0, 50.0)
+        dense = np.arange(3001) * 0.001
+        sparse = np.array([0.8, 1.0, 1.2, 3.0])
+        idx = [800, 1000, 1200, 3000]
+        for tau in (0.5, 7.0):
+            np.testing.assert_allclose(d.h3_cdf(sparse, tau), d.h3_cdf(dense, tau)[idx], rtol=1e-13)
+            np.testing.assert_allclose(d.h3_density(sparse, tau), d.h3_density(dense, tau)[idx], rtol=1e-13)
+
+    def test_far_points_stay_finite_and_cheap(self):
+        d = Gamma(2.5, 2.5)
+        x = np.array([1.0, 1e6, 1e300])
+        np.testing.assert_array_equal(d.h3_density(x, 7.0)[1:], 0.0)
+        np.testing.assert_allclose(d.h3_cdf(x, 7.0)[1:], 1.0, rtol=1e-15)
+        mix = MixedExponential(MIX_WEIGHTS, MIX_RATES)
+        # the slow component decays as e^{-0.014631 x}
+        far = mix.h3_density(3000.0, 0.5)
+        assert far == pytest.approx(mix.h3_density(np.array([1.0, 3000.0]), 0.5)[1], rel=1e-13)
+        _, dens = ref.mixture_ladder(3000.0, MIX_WEIGHTS, MIX_RATES, 0.5)
+        assert far == pytest.approx(float(dens), rel=1e-11)
+
+    def test_non_finite_input_rejected(self):
+        d = Gamma(2.5, 2.5)
+        for method in (d.h3_cdf, d.h3_density):
+            for x in ([math.nan, 1.0], [1.0, math.inf], -math.inf):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    method(x, 2.0)
+            for tau in (math.nan, math.inf, 0.0, -1.0):
+                with pytest.raises(ValueError, match="tau must be finite and positive"):
+                    method(1.0, tau)
+
+    def test_cli_import_does_not_load_quadrature(self):
+        code = "import sys, ruinkit.cli; print('scipy.integrate' in sys.modules)"
+        src = str(Path(ruinkit.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert out.stdout.strip() == "False"

@@ -239,6 +239,10 @@ def test_usage_errors_exit_1(capsys):
         ["decompose", "--model", EXP_MODEL, "--umax", "inf"],
         ["decompose", "--model", EXP_MODEL, "--umax", "nan"],
         ["decompose", "--model", EXP_MODEL, "--umax", "1", "--step", "nan"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=exp:rate=inf", "--u", "1"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=inf,rate=1", "--u", "1"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2,rate=inf", "--u", "1"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=mexp:w=0.5,0.5;b=1,inf", "--u", "1"],
     ]
     for argv in cases:
         rc, out, err = run_cli(argv, capsys)
