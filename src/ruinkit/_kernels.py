@@ -137,14 +137,23 @@ def _series_recurrence(head, tail, a, kern):
     return y
 
 
-def panjer_compound(p: np.ndarray, q: float) -> np.ndarray:
+def panjer_compound(p: np.ndarray, q: float, p_tail: np.ndarray | None = None) -> np.ndarray:
     """Compound-geometric pmf on the lattice via Panjer recursion.
 
     g[0] = q / d;  g[k] = (1-q)/d * sum_{i>=1} p[i] g[k-i],  d = 1 - (1-q) p[0].
+
+    Given p_tail[k] = P(X > k), the claim tail, it returns the compound's
+    tail P(S > k) instead: sum_k P(S > k) z^k = (1-q) P̄(z) / (1 - (1-q) P(z)),
+    the same division with the numerator (1-q)/d * p_tail. It stays
+    relative in the deep tail, where 1 - cumsum(g) cancels to noise.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     denom = 1.0 - (1.0 - q) * p[0]
-    return _series_recurrence(q / denom, np.zeros(p.shape[0]), (1.0 - q) / denom, p)
+    a = (1.0 - q) / denom
+    if p_tail is None:
+        return _series_recurrence(q / denom, np.zeros(p.shape[0]), a, p)
+    forcing = a * np.asarray(p_tail, dtype=np.float64)
+    return _series_recurrence(forcing[0], forcing, a, p)
 
 
 def lattice_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

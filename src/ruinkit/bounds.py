@@ -1,6 +1,16 @@
 """Iterative lattice bounds on the ruin probability: cell discretization of
 the ladder-height distribution plus a Panjer compound-geometric recursion.
 
+Each bound is the tail series of a compound geometric, never 1 minus a pmf
+partial sum: with cells p and cell tails P̄[k] = sum_{n>k} p[n],
+
+    sum_k P(S > k) z^k = (1-q) P̄(z) / (1 - (1-q) P(z))
+
+is one Panjer-style series division with a positive numerator (the
+survival-function form of Dickson & Waters 1991). P̄ is read straight from
+the ladder tail 1 - H3 of the claim distribution, so the bounds keep their
+relative accuracy down to the underflow range.
+
 Two conventions are provided.
 
 "published" reproduces the tabulated bound columns of the reference tables:
@@ -11,21 +21,24 @@ bracket the ruin probability (the exact curve crosses the upper column in
 the midrange), so they are kept as a faithful replication mode.
 
 "strict" builds certified bounds on Psi itself: the correct geometric
-parameter q = loading/(1+loading), with the Exp(tau) initial record ladder
-discretized to the same lattice and convolved in. Flooring every summand to
-the lattice can only shrink the maximal aggregate loss, so the floored tail
-is a true lower bound; ceiling gives the upper. The acceptance sandwich
-checks run this convention.
+parameter q = loading/(1+loading), plus the Exp(tau) initial record
+discretized to the same lattice. Its cells are geometric with ratio
+r = e^{-tau w}, so the tail of record + compound is the first-order
+recurrence y[k] = r y[k-1] + (1-r) G[k] over the compound tail G, summed as
+positive terms. Flooring every summand to the lattice can only shrink the
+maximal aggregate loss, so the floored tail is a true lower bound; ceiling
+gives the upper. The acceptance sandwich checks run this convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor
+from math import ceil, expm1
 
 import numpy as np
 
-from ._kernels import lattice_convolve, panjer_compound
+# lattice_convolve is no longer called here; perfbench/tracing.py rebinds it at this name
+from ._kernels import lattice_convolve, panjer_compound  # noqa: F401
 from .exact import RuinCurve
 from .model import PerturbedModel
 
@@ -39,6 +52,7 @@ class DiscretizedLadder:
     p_upper: np.ndarray
     truncation_index: int
     mass_deficit: float
+    tail: np.ndarray  # 1 - H3 at the cell edges 0, w, ..., n_points * w
 
 
 @dataclass(frozen=True)
@@ -49,28 +63,29 @@ class BoundPair:
 
 
 def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int) -> DiscretizedLadder:
-    """Floor/ceil cells of the combined ladder CDF H3 on the lattice.
+    """Floor/ceil cells of the combined ladder distribution H3 on the lattice.
 
-    p_n^- = H3((n+1)w) - H3(nw) with p_0^- = H3(w): mass of [nw, (n+1)w)
-    pushed down to nw. p_n^+ = H3(nw) - H3((n-1)w) with p_0^+ = 0: mass
-    pushed up. One CDF evaluation per cell edge.
+    p_n^- = H3((n+1)w) - H3(nw): mass of [nw, (n+1)w) pushed down to nw.
+    p_n^+ = H3(nw) - H3((n-1)w) with p_0^+ = 0: mass pushed up. Cells and
+    mass deficit are differences of one ladder-tail evaluation at the cell
+    edges, which is kept as `tail`.
     """
     _check_width(lattice_width)
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    tau = model.tau
     edges = np.arange(n_points + 1) * lattice_width
-    cdf = np.asarray(model.claims.h3_cdf(edges, tau), dtype=float)
-    p_lower = np.diff(cdf)  # cell n covers [n*w, (n+1)*w)
+    tail = model.claims._ladder(edges, model.tau)[0]
+    p_lower = tail[:-1] - tail[1:]  # cell n covers [n*w, (n+1)*w)
     p_upper = np.empty(n_points)
     p_upper[0] = 0.0
-    p_upper[1:] = np.diff(cdf[:-1])
+    p_upper[1:] = p_lower[:-1]
     return DiscretizedLadder(
         lattice_width=float(lattice_width),
         p_lower=p_lower,
         p_upper=p_upper,
         truncation_index=int(n_points),
-        mass_deficit=float(1.0 - cdf[-2]),  # 1 - sum(p_upper)
+        mass_deficit=float(tail[-2]),  # 1 - sum(p_upper)
+        tail=tail,
     )
 
 
@@ -79,16 +94,32 @@ def _check_width(lattice_width: float) -> None:
         raise ValueError(f"lattice_width must be finite and positive, got {lattice_width!r}")
 
 
-def _record_cells(model: PerturbedModel, lattice_width: float, n_points: int):
-    """Floor/ceil cells of the Exp(tau) oscillation record CDF H1."""
-    tau = model.tau
-    edges = np.arange(n_points + 1) * lattice_width
-    cdf = -np.expm1(-tau * edges)
-    lower = np.diff(cdf)
-    upper = np.empty(n_points)
-    upper[0] = 0.0
-    upper[1:] = np.diff(cdf[:-1])
-    return lower, upper
+# largest exponent span of one block of the record recurrence: r^{-j} stays
+# below e^600 inside a block, far from overflow
+_BLOCK_SPAN = 600.0
+
+
+def _with_record(tail: np.ndarray, span: float) -> np.ndarray:
+    """Tail of R + S on the lattice from the tail of S, for R the Exp(tau)
+    record floored to the lattice: P(R = n) = (1-r) r^n, r = e^{-span},
+    span = tau * w.
+
+    y[k] = r y[k-1] + (1-r) tail[k] from y[-1] = 1, solved in blocks as
+    y[s+i] = r^{i+1} y[s-1] + (1-r) r^i sum_{j<=i} r^{-j} tail[s+j]: every
+    term is positive, so each value keeps its relative accuracy.
+    """
+    out = np.empty(tail.size)
+    step = max(1, int(_BLOCK_SPAN / span))
+    gain = -expm1(-span)  # 1 - r
+    prev = 1.0
+    for s in range(0, tail.size, step):
+        block = tail[s : s + step]
+        i = np.arange(block.size)
+        out[s : s + block.size] = np.exp(-span * (i + 1)) * prev + gain * np.exp(-span * i) * np.cumsum(
+            block * np.exp(span * i)
+        )
+        prev = out[s + block.size - 1]
+    return out
 
 
 def _snap_indices(u_grid: np.ndarray, width: float, mode: str) -> np.ndarray:
@@ -113,8 +144,8 @@ def panjer_bounds(
 
     u values that are not lattice multiples are snapped down for the upper
     curve and up for the lower curve (both curves are nonincreasing, so the
-    snap preserves bound validity). Bound at lattice index k is 1 minus the
-    pmf partial sum through k.
+    snap preserves bound validity). Bound at lattice index k is the
+    compound tail P(L > k) on the lattice.
     """
     if model.sigma == 0.0:
         raise ValueError("lattice bounds require a diffusion term (sigma > 0)")
@@ -138,26 +169,21 @@ def panjer_bounds(
         raise ValueError("published convention is defined only for loading < 1")
 
     ladder = discretize_ladder(model, lattice_width, n_points)
-
-    if convention == "published":
-        theta = model.loading
-        q_geom = theta / (1.0 - theta)
-        pmf_lower = panjer_compound(ladder.p_lower, q_geom)
-        pmf_upper = panjer_compound(ladder.p_upper, q_geom)
-    else:
-        q_geom = model.q
-        rec_lower, rec_upper = _record_cells(model, lattice_width, n_points)
-        pmf_lower = lattice_convolve(rec_lower, panjer_compound(ladder.p_lower, q_geom))
-        pmf_upper = lattice_convolve(rec_upper, panjer_compound(ladder.p_upper, q_geom))
-
-    tail_lower = 1.0 - np.cumsum(pmf_lower)
-    tail_upper = 1.0 - np.cumsum(pmf_upper)
+    q_geom = model.loading / (1.0 - model.loading) if convention == "published" else model.q
+    # the floor cells' tail beyond k is 1 - H3((k+1)w), the ceiling cells' 1 - H3(kw)
+    tail_lower = panjer_compound(ladder.p_lower, q_geom, ladder.tail[1:])
+    tail_upper = panjer_compound(ladder.p_upper, q_geom, ladder.tail[:-1])
+    if convention == "strict":
+        span = model.tau * lattice_width
+        tail_lower = _with_record(tail_lower, span)
+        # a ceiling record sits one cell higher: y[0] = 1, y[k] = floor form at k-1
+        tail_upper = np.concatenate(([1.0], _with_record(tail_upper[:-1], span)))
 
     idx_lower = _snap_indices(u_arr, lattice_width, "up")
     idx_upper = _snap_indices(u_arr, lattice_width, "down")
     low_vals = tail_lower[idx_lower]
     up_vals = tail_upper[idx_upper]
-    # clip roundoff just below 0 on deep tails
+    # keep roundoff at either end inside [0, 1]
     low_vals = np.clip(low_vals, 0.0, 1.0)
     up_vals = np.clip(up_vals, 0.0, 1.0)
     return BoundPair(

@@ -10,7 +10,9 @@ zero and ruin caused by a claim jump, by solving the pair of renewal
     psi1(u) = 1 - H1(u) + (1-q) int_0^u psi1(u-x) h3(x) dx
     psi2(u) = (1-q)(H1(u) - H3(u)) + (1-q) int_0^u psi2(u-x) h3(x) dx
 
-with H1 the Exp(tau) record CDF and h3 the combined ladder density.
+with H1 the Exp(tau) record CDF and h3 the combined ladder density. The
+second forcing is taken as (1-q)(Hbar3(u) - e^{-tau u}), the gap between the
+ladder tail and the record tail, not as a difference of two CDFs near 1.
 """
 
 from __future__ import annotations
@@ -110,10 +112,9 @@ def decompose_ruin(
     n = (n_out - 1) * refine + 1
     grid = np.arange(n) * h
     h1_tail = np.exp(-tau * grid)  # 1 - H1
-    h3_cdf = np.asarray(model.claims.h3_cdf(grid, tau), dtype=float)
-    h3_pdf = np.asarray(model.claims.h3_density(grid, tau), dtype=float)
+    h3_tail, h3_pdf = model.claims._ladder(grid, tau)
     forcing1 = h1_tail
-    forcing2 = (1.0 - q) * ((1.0 - h1_tail) - h3_cdf)
+    forcing2 = (1.0 - q) * (h3_tail - h1_tail)
     psi1 = volterra_march(forcing1, h3_pdf, 1.0 - q, h)
     psi2 = volterra_march(forcing2, h3_pdf, 1.0 - q, h)
     out = grid[::refine]

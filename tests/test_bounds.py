@@ -5,12 +5,18 @@ import pytest
 
 from ruinkit import (
     Exponential,
+    Gamma,
+    MixedExponential,
     PerturbedModel,
     de_vylder_ruin,
     discretize_ladder,
     exact_ruin,
     panjer_bounds,
 )
+from ruinkit.approx import mixture_exact_ruin
+
+from _reference_kernels import _lattice_convolve_py, _panjer_compound_py
+from conftest import MIX_RATES, MIX_WEIGHTS
 
 
 U11 = np.array([0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 50.0])
@@ -111,6 +117,74 @@ class TestStrictConvention:
         pair = panjer_bounds(heavy_loading_model, 0.1, np.array([1.0]), convention="strict")
         exact = de_vylder_ruin(heavy_loading_model, 1.0)
         assert pair.lower.values[0] <= exact <= pair.upper.values[0]
+
+
+class TestDeepTail:
+    """Each bound is a tail series of positive terms, so the strict pair keeps
+    bracketing the exact curve far below the 1e-15 where 1 - cumsum(pmf)
+    turns to rounding noise."""
+
+    U = np.array([40.0, 80.0, 120.0, 200.0])
+
+    def _assert_brackets(self, model, exact):
+        pair = panjer_bounds(model, 0.05, self.U, convention="strict")
+        assert np.all(pair.lower.values > 0.0)
+        assert np.all(pair.lower.values <= exact)
+        assert np.all(exact <= pair.upper.values)
+
+    def test_exponential(self, heavy_loading_model):
+        exact = de_vylder_ruin(heavy_loading_model, self.U)  # closed form, exact here
+        assert exact[-1] < 1e-38
+        self._assert_brackets(heavy_loading_model, exact)
+
+    def test_two_component_mixture(self):
+        weights, rates = (0.5, 0.5), (1.0, 3.0)
+        model = PerturbedModel(MixedExponential(weights, rates), lam=1.0, sigma=1.0, loading=1.0)
+        exact = mixture_exact_ruin(model.lam, model.c, model.sigma, weights, rates, self.U)
+        assert exact[-1] < 1e-39
+        self._assert_brackets(model, exact)
+
+
+def _pmf_partial_sum_tails(model, width, n, convention):
+    """The bounds as they were once formed: the compound pmf from the scalar
+    Panjer loop, the record convolved in for the strict convention, then
+    1 - cumsum(pmf)."""
+    lad = discretize_ladder(model, width, n)
+    if convention == "published":
+        q = model.loading / (1.0 - model.loading)
+        pmfs = [_panjer_compound_py(p, q) for p in (lad.p_lower, lad.p_upper)]
+    else:
+        rec_lower = -np.diff(np.exp(-model.tau * width * np.arange(n + 1)))
+        rec_upper = np.concatenate(([0.0], rec_lower[:-1]))
+        pmfs = [
+            _lattice_convolve_py(rec, _panjer_compound_py(p, model.q))
+            for rec, p in ((rec_lower, lad.p_lower), (rec_upper, lad.p_upper))
+        ]
+    return [1.0 - np.cumsum(pmf) for pmf in pmfs]
+
+
+@pytest.mark.parametrize("family, loading, convention", [
+    ("exp", 1.0, "strict"),
+    ("mixture", 0.01, "strict"),
+    ("gamma", 1.0, "strict"),
+    ("exp", 0.3, "published"),
+    ("mixture", 0.3, "published"),
+    ("gamma", 0.01, "published"),
+])
+def test_tail_series_matches_pmf_partial_sums(family, loading, convention):
+    claims = {
+        "exp": Exponential(1.0),
+        "mixture": MixedExponential(MIX_WEIGHTS, MIX_RATES),
+        "gamma": Gamma(2.0, 2.0),
+    }[family]
+    model = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=loading)
+    width, n = 0.25, 400
+    pair = panjer_bounds(model, width, width * np.arange(n), convention=convention, n_points=n)
+    for new, old in zip((pair.lower.values, pair.upper.values), _pmf_partial_sum_tails(model, width, n, convention)):
+        keep = old > 1e-12
+        assert keep.sum() > 100
+        # the partial sums carry up to about n * eps of absolute rounding
+        np.testing.assert_allclose(new[keep], old[keep], rtol=1e-12, atol=5e-14)
 
 
 class TestSnapping:

@@ -267,6 +267,16 @@ class TestLadderGenericPath:
         assert cdf[1, 1] == dens[1, 1] == 0.0  # nothing below 0
         assert cdf[0, 2] == dens[0, 2] == 0.0
 
+    @pytest.mark.parametrize("dist", [Exponential(1.0), Gamma(0.5, 0.5)], ids=["exp", "gamma0.5"])
+    def test_zero_dim_array_and_scalar_inputs(self, dist):
+        tau = 2.02
+        for method in (dist.h3_cdf, dist.h3_density):
+            scalar = method(1.0, tau)
+            zero_dim = method(np.array(1.0), tau)
+            assert type(scalar) is float
+            assert isinstance(zero_dim, np.ndarray) and zero_dim.shape == ()
+            assert zero_dim == scalar == method(np.array([1.0]), tau)[0]
+
     def test_sparse_points_match_a_dense_grid(self):
         # Gamma(50, 50) concentrates within a standard deviation of 0.14
         # around its mean 1, so panels as wide as the mean would miss it
@@ -277,6 +287,20 @@ class TestLadderGenericPath:
         for tau in (0.5, 7.0):
             np.testing.assert_allclose(d.h3_cdf(sparse, tau), d.h3_cdf(dense, tau)[idx], rtol=1e-13)
             np.testing.assert_allclose(d.h3_density(sparse, tau), d.h3_density(dense, tau)[idx], rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ref.ORACLE_FAMILIES)
+    def test_tail_matches_mpmath_oracle_down_to_1e300(self, name):
+        d = _oracle_family(name)
+        keys = [key for key in ref.LADDER_TAIL_ORACLE if key[0] == name]
+        assert min(ref.LADDER_TAIL_ORACLE[key] for key in keys) < 1e-299
+        for _, tau, x in keys:
+            want = ref.LADDER_TAIL_ORACLE[name, tau, x]
+            got = d._ladder(np.array([x]), tau)[0][0]
+            # the gamma upper integrated tail cancels a factor rate * x
+            # (claims.py); the exponential forms do not cancel
+            rtol = 1.5e-13 * max(1.0, d.rate * x) if isinstance(d, Gamma) else 1e-13
+            assert got == pytest.approx(want, rel=rtol, abs=0.0), f"{name} tau={tau} x={x}"
+            assert 1.0 - d.h3_cdf(x, tau) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_far_points_stay_finite_and_cheap(self):
         d = Gamma(2.5, 2.5)
