@@ -24,9 +24,18 @@ the light-tailed renewal equations of the cause split). Scalar python loops
 of every kernel live in the test suite as oracles.
 
 The Monte Carlo kernel draws from a counter-based splitmix64 stream keyed by
-(seed, path index): value = finalize(key_path + (counter+1) * GOLDEN). No
-draw depends on how lanes are batched or the order paths run in, so the
-output is a pure function of the arguments.
+(seed, path index): draw number ctr of a path is finalize(key_path +
+(ctr+1) * GOLDEN). The splitmix input is linear in the counter, so each live
+lane keeps one uint64 state = key_path + (ctr+1) * GOLDEN, draw j of an event
+is finalize(state + j * GOLDEN), and an event of m draws adds m * GOLDEN.
+An event draws all its fixed uniforms as one (m, n_live) block: the wait,
+the Box-Muller pair and the bridge when sigma > 0, and the claim (one for
+exponential, two for a mixture). A lane that ends before it would use a
+draw (ruin before the bridge, censoring or ruin before the claim) is
+dropped with it, so every path reads exactly its own stream; the live lanes
+are compacted once per event. Gamma claims keep a per-lane rejection loop on
+the same states. No draw depends on how lanes are batched or the order
+paths run in, so the output is a pure function of the arguments.
 """
 
 from __future__ import annotations
@@ -177,7 +186,7 @@ def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: floa
 
 
 # ---------------------------------------------------------------------------
-# counter-based RNG
+# counter-based RNG: one splitmix64 state per lane
 # ---------------------------------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -190,83 +199,76 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+_STRIDE = np.arange(8, dtype=np.uint64) * _GOLDEN  # offset of draw j; an event has at most 6
 
 
-def _rand_u64(key, ctr):
-    z = key + (ctr + _ONE) * _GOLDEN
-    z = (z ^ (z >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+def _mix(z):
+    # splitmix64 finalizer; updates an array z in place
+    z ^= z >> _SH30
+    z *= _MIX1
+    z ^= z >> _SH27
+    z *= _MIX2
+    z ^= z >> _SH31
+    return z
 
 
-def _unif(key, ctr):
-    # uniform on (0, 1]; never 0, so logs are safe
-    return ((_rand_u64(key, ctr) >> _SH11) + _ONE).astype(np.float64) * _INV53
+def _uniforms(state, m):
+    """(m, n) block of uniforms on (0, 1], never 0 so logs are safe; draw j
+    of lane i is from state[i] + j GOLDEN. The caller advances the state."""
+    z = _mix(state + _STRIDE[:m, None])
+    z >>= _SH11
+    u = z.view(np.int64).astype(np.float64)  # below 2^53: exact
+    u += 1.0
+    u *= _INV53
+    return u
 
 
 # ---------------------------------------------------------------------------
-# claim samplers, one lane per path
+# claim samplers
 # family codes: 0 exponential [rate]; 1 gamma [shape, rate];
 #               2 mixture [k, cumw_1..k, rate_1..k]
 # ---------------------------------------------------------------------------
 
 
-def _gamma_mt(key, ctr, shape):
-    """Marsaglia-Tsang for shape >= 1, unit rate. Mutates ctr in place."""
-    n = key.shape[0]
-    out = np.empty(n)
+def _gamma_mt(state, shape):
+    """Marsaglia-Tsang for shape >= 1, unit rate. Advances state in place:
+    each round draws three uniforms and uses the third only when x > 0."""
+    out = np.empty(state.size)
     d = shape - 1.0 / 3.0
     cc = 1.0 / math.sqrt(9.0 * d)
-    todo = np.arange(n)
+    todo = np.arange(state.size)
     while todo.size:
-        k = key[todo]
-        u1 = _unif(k, ctr[todo])
-        ctr[todo] += _ONE
-        u2 = _unif(k, ctr[todo])
-        ctr[todo] += _ONE
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        s = state[todo]
+        u = _uniforms(s, 3)
+        z = np.sqrt(-2.0 * np.log(u[0])) * np.cos(2.0 * np.pi * u[1])
         x = 1.0 + cc * z
         pos = x > 0.0
-        cand = todo[pos]
-        if cand.size:
-            v = x[pos] ** 3
-            u = _unif(key[cand], ctr[cand])
-            ctr[cand] += _ONE
-            zz = z[pos]
-            ok = np.log(u) < 0.5 * zz * zz + d - d * v + d * np.log(v)
-            acc = cand[ok]
-            out[acc] = d * v[ok]
-            keep = np.ones(todo.size, dtype=bool)
-            keep[np.searchsorted(todo, acc)] = False
-            todo = todo[keep]
-        # lanes with x <= 0 simply redraw next round
+        state[todo] = s + np.where(pos, _STRIDE[3], _STRIDE[2])
+        v = np.where(pos, x, 1.0) ** 3
+        ok = pos & (np.log(u[2]) < 0.5 * z * z + d - d * v + d * np.log(v))
+        out[todo[ok]] = d * v[ok]
+        todo = todo[~ok]
     return out
 
 
-def _draw_claim(key, ctr, family, fp):
-    """One claim per lane. Mutates ctr in place."""
+def _gamma_claim(state, shape, rate):
+    """One gamma claim per lane; advances state in place."""
+    if shape >= 1.0:
+        return _gamma_mt(state, shape) / rate
+    g = _gamma_mt(state, shape + 1.0)
+    u = _uniforms(state, 1)[0]
+    state += _GOLDEN
+    return g * u ** (1.0 / shape) / rate
+
+
+def _block_claim(u, family, fp):
+    """One claim per lane from its block rows: exponential 1, mixture 2."""
     if family == 0:
-        u = _unif(key, ctr)
-        ctr += _ONE
-        return -np.log(u) / fp[0]
-    if family == 1:
-        shape = fp[0]
-        rate = fp[1]
-        if shape >= 1.0:
-            return _gamma_mt(key, ctr, shape) / rate
-        g = _gamma_mt(key, ctr, shape + 1.0)
-        u = _unif(key, ctr)
-        ctr += _ONE
-        return g * u ** (1.0 / shape) / rate
+        return -np.log(u[0]) / fp[0]
     k = int(fp[0])
-    cumw = fp[1 : 1 + k]
-    rates = fp[1 + k : 1 + 2 * k]
-    u = _unif(key, ctr)
-    ctr += _ONE
-    comp = np.minimum(np.searchsorted(cumw, u, side="left"), k - 1)
-    u2 = _unif(key, ctr)
-    ctr += _ONE
-    return -np.log(u2) / rates[comp]
+    cumw, rates = fp[1 : 1 + k], fp[1 + k : 1 + 2 * k]
+    comp = np.minimum(np.searchsorted(cumw, u[0], side="left"), k - 1)
+    return -np.log(u[1]) / rates[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -283,63 +285,59 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
     fp = np.ascontiguousarray(fparams, dtype=np.float64)
     # avalanche the seed before deriving path keys: mixing both linearly
     # through the same multiplier would alias (seed, p) with (seed+1, p-1)
-    base = _rand_u64(_SEED_SALT, np.uint64(seed))
-    key = _rand_u64(np.full(n_paths, base, dtype=np.uint64), np.arange(n_paths, dtype=np.uint64))
-    ctr = np.zeros(n_paths, dtype=np.uint64)
+    base = _mix(_SEED_SALT + (np.uint64(seed) + _ONE) * _GOLDEN)
+    state = _mix(base + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN) + _GOLDEN
     t = np.zeros(n_paths)
     v = np.full(n_paths, float(u0))
-    alive = np.arange(n_paths)
     sig2 = sigma * sigma
+    # the event's fixed draws: wait, then Box-Muller pair and bridge, then claim
+    j_claim = 4 if sigma > 0.0 else 1
+    m = j_claim + (1, 0, 2)[family]
     n_osc = 0
     n_claim = 0
-    while alive.size:
-        k = key[alive]
-        u_e = _unif(k, ctr[alive])
-        ctr[alive] += _ONE
-        e = -np.log(u_e) / lam
-        ta = t[alive]
-        final_seg = ta + e > horizon
-        dt = np.where(final_seg, horizon - ta, e)
-        va = v[alive]
+    while state.size:
+        # the block's rows are consumed in place; the in-place steps only swap
+        # the operands of + and * or move a sign, so each value is bitwise
+        # the one-path-at-a-time value
+        u = _uniforms(state, m)
+        state += _STRIDE[m]
+        e = np.log(u[0], out=u[0])
+        e /= -lam
+        t_next = t + e
+        final_seg = t_next > horizon
+        dt = np.subtract(horizon, t, out=e, where=final_seg)
+        v1 = dt * c
+        v1 += v
         if sigma > 0.0:
-            u1 = _unif(k, ctr[alive])
-            ctr[alive] += _ONE
-            u2 = _unif(k, ctr[alive])
-            ctr[alive] += _ONE
-            z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            v1 = va + c * dt + sigma * np.sqrt(dt) * z
+            z = np.log(u[1], out=u[1])
+            z *= -2.0
+            np.sqrt(z, out=z)
+            w = np.multiply(u[2], 2.0 * np.pi, out=u[2])
+            z *= np.cos(w, out=w)
+            z *= np.sqrt(dt) * sigma
+            v1 += z
             hit = v1 <= 0.0
-            safe = ~hit
-            if np.any(safe):
-                idx_safe = alive[safe]
-                u_b = _unif(key[idx_safe], ctr[idx_safe])
-                ctr[idx_safe] += _ONE
-                with np.errstate(divide="ignore"):
-                    cross = np.where(
-                        dt[safe] > 0.0,
-                        np.exp(-2.0 * va[safe] * v1[safe] / (sig2 * dt[safe])),
-                        0.0,
-                    )
-                bridged = u_b < cross
-                hit[safe] |= bridged
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = v * -2.0
+                cross *= v1
+                cross /= dt * sig2
+                np.exp(cross, out=cross)
+            hit |= (u[3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
             n_osc += int(np.count_nonzero(hit))
-            keep = ~hit
+            claim = ~(hit | final_seg)
         else:
-            v1 = va + c * dt
-            keep = np.ones(alive.size, dtype=bool)
-        # lanes that reached the horizon without ruin survive and are dropped
-        claim_event = keep & ~final_seg
-        if np.any(claim_event):
-            idx_claim = alive[claim_event]
-            ctr_claim = ctr[idx_claim]
-            x = _draw_claim(key[idx_claim], ctr_claim, family, fp)
-            ctr[idx_claim] = ctr_claim
-            v_after = v1[claim_event] - x
-            dead = v_after <= 0.0
-            n_claim += int(np.count_nonzero(dead))
-            v[idx_claim[~dead]] = v_after[~dead]
-            t[idx_claim[~dead]] = ta[claim_event][~dead] + e[claim_event][~dead]
-            alive = idx_claim[~dead]
+            claim = ~final_seg
+        # lanes censored at the horizon or hit discard their claim draws
+        if family == 1:
+            s = state[claim]
+            v1[claim] -= _gamma_claim(s, fp[0], fp[1])
+            state[claim] = s
         else:
-            alive = alive[:0]
+            v1 -= _block_claim(u[j_claim:], family, fp)
+        live = v1 > 0.0
+        live &= claim
+        n_claim += int(np.count_nonzero(claim)) - int(np.count_nonzero(live))
+        state = state[live]
+        v = v1[live]
+        t = t_next[live]
     return n_osc, n_claim

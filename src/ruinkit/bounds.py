@@ -15,7 +15,8 @@ Two conventions are provided.
 
 "published" reproduces the tabulated bound columns of the reference tables:
 the compound geometric is taken over the combined-ladder cells alone (no
-initial oscillation record) and its success parameter is loading/(1-loading).
+initial oscillation record) and its success parameter is loading/(1-loading),
+a probability only for loading < 1/2; larger loadings are rejected.
 Those columns are replicated to within ~1e-4, but they do not actually
 bracket the ruin probability (the exact curve crosses the upper column in
 the midrange), so they are kept as a faithful replication mode.
@@ -165,8 +166,11 @@ def panjer_bounds(
             f"(need at least {need} cells for u_max={u_max})"
         )
 
-    if convention == "published" and model.loading >= 1.0:
-        raise ValueError("published convention is defined only for loading < 1")
+    # the published parameter loading/(1-loading) is a probability only below 1/2
+    if convention == "published" and not model.loading < 0.5:
+        raise ValueError(
+            f"published convention is defined only for loading < 0.5, got {model.loading:g}"
+        )
 
     ladder = discretize_ladder(model, lattice_width, n_points)
     q_geom = model.loading / (1.0 - model.loading) if convention == "published" else model.q

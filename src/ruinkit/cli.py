@@ -381,7 +381,10 @@ def _apply_config(args) -> None:
                 raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
             if getattr(args, key) is None:
                 cast = _CONFIG_CASTS.get(key, str)
-                setattr(args, key, cast(val.strip()))
+                try:
+                    setattr(args, key, cast(val.strip()))
+                except ValueError as exc:
+                    raise UsageError(f"{args.config}:{line_no}: bad value for {key}: {exc}") from exc
 
 
 _COMMANDS = {

@@ -32,6 +32,11 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.u < np.inf:
             raise ValueError("initial surplus u must be finite and nonnegative")
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            # a float would be truncated silently, a bool counted as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -92,7 +97,7 @@ def simulate_ruin(config: SimConfig) -> SimEstimate:
         family,
         fparams,
     )
-    n = config.n_paths
+    n = int(config.n_paths)
     p_hat = (n_osc + n_claim) / n
     return SimEstimate(
         ruin_freq=p_hat,

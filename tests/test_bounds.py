@@ -72,6 +72,21 @@ class TestPublishedConvention:
         with pytest.raises(ValueError):
             panjer_bounds(heavy_loading_model, 0.1, np.array([1.0]), convention="published")
 
+    @pytest.mark.parametrize("loading", [0.5, 0.6, 0.9])
+    def test_rejects_loading_from_one_half(self, loading):
+        # theta/(1-theta) >= 1 is no probability; the result was clipped noise
+        # (all zeros at 0.5 and 0.6, lower 1, 0, 0.016, 0 at 0.9)
+        model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=loading)
+        with pytest.raises(ValueError, match=r"loading < 0\.5"):
+            panjer_bounds(model, 0.1, np.array([0.5, 1.0, 2.0, 5.0]), convention="published")
+
+    def test_loading_just_below_one_half(self):
+        model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.49)
+        pair = panjer_bounds(model, 0.1, np.array([0.5, 1.0, 2.0, 5.0]), convention="published")
+        lower, upper = pair.lower.values, pair.upper.values
+        assert np.all((0.0 < lower) & (lower <= upper) & (upper < 1.0))
+        assert np.all(np.diff(lower) < 0.0) and np.all(np.diff(upper) < 0.0)
+
 
 class TestStrictConvention:
     def test_sandwich_exponential(self, exp_model):

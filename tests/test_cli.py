@@ -204,6 +204,31 @@ def test_infeasible_methods_emit_na_and_warn(capsys):
     assert "2 warning(s)" in err
 
 
+def test_published_bounds_reject_loading_from_one_half(capsys):
+    model = "lambda=1,theta=0.9,sigma=1,claims=exp:rate=1"
+    argv = ["bounds", "--model", model, "--u", "0.5,1,2,5", "--lattice", "0.1"]
+    rc, out, err = run_cli([*argv, "--convention", "published"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "loading < 0.5" in err
+    rc, out, _ = run_cli([*argv, "--convention", "strict"], capsys)
+    assert rc == 0  # the strict convention holds at every loading
+
+
+def test_table_dg_is_na_from_loading_one_half(capsys):
+    model = "lambda=1,theta=0.6,sigma=1,claims=exp:rate=1"
+    rc, out, err = run_cli(
+        ["table", "--model", model, "--methods", "exact,dg", "--u", "1,2", "--lattice", "0.1"],
+        capsys,
+    )
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header == ["u", "exact", "dg"]
+    for row in rows:
+        assert float(row[1]) > 0.0 and row[2] == "NA"
+    assert "warning: method dg infeasible: published convention is defined only for loading < 0.5" in err
+
+
 def test_sigma_zero_bounds_is_a_clean_failure(capsys):
     rc, out, err = run_cli(
         ["bounds", "--model", CLASSICAL_MODEL, "--u", "1", "--lattice", "0.1"], capsys
@@ -317,6 +342,19 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
     rc, _, err = run_cli(["exact", "--model", EXP_MODEL, "--u", "1", "--config", str(cfg)], capsys)
     assert rc == 1
     assert "unknown key" in err
+
+
+@pytest.mark.parametrize("line", ["seed=1.5", "paths=1e5", "horizon=long"])
+def test_config_bad_value_exits_1(tmp_path, capsys, line):
+    # a value the key's type cannot take is a usage error that names the key
+    key, value = line.split("=")
+    settings = {"paths": "10", "seed": "1", key: value}
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    rc, out, err = run_cli(["simulate", "--model", HEAVY_MODEL, "--u", "1", "--config", str(cfg)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and f"bad value for {key}" in err
 
 
 def test_out_file_matches_stdout_and_is_stable(tmp_path, capsys):

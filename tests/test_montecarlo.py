@@ -48,6 +48,20 @@ def test_config_validation(exp_model):
             SimConfig(exp_model, u=1.0, n_paths=10, seed=0, horizon=horizon)
     with pytest.raises(ValueError, match="surplus"):
         SimConfig(exp_model, u=np.nan, n_paths=10, seed=0)
+    # a non-integral count or seed is named, not truncated or left to numpy
+    for n_paths in (1000.0, 2.5, np.float64(10.0), True, "10"):
+        with pytest.raises(ValueError, match="n_paths"):
+            SimConfig(exp_model, u=1.0, n_paths=n_paths, seed=0)
+    for seed in (1.5, 1.0, np.float64(3.0), False, "7"):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(exp_model, u=1.0, n_paths=10, seed=seed)
+
+
+def test_numpy_integers_are_accepted(heavy_loading_model):
+    a = simulate_ruin(SimConfig(heavy_loading_model, u=1.0, n_paths=np.int64(200), seed=np.uint64(2**64 - 1)))
+    b = simulate_ruin(SimConfig(heavy_loading_model, u=1.0, n_paths=200, seed=2**64 - 1))
+    assert a == b
+    assert type(a.seed) is int and type(a.n_paths) is int and type(a.ruin_freq) is float
 
 
 def test_largest_seed_is_accepted(heavy_loading_model):
@@ -87,18 +101,81 @@ def test_engines_agree_exactly():
     assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == (275, 936)
 
 
+SAMPLERS = {
+    "exp": (0, [1.0]),
+    "gamma2.5": (1, [2.5, 2.5]),  # Marsaglia-Tsang direct
+    "gamma0.5": (1, [0.5, 0.5]),  # shape < 1, boosted by u^(1/shape)
+    "mixture": (2, [3.0, 0.5, 0.8, 1.0, 2.0, 1.0, 0.25]),  # [k, cumw, rates]
+}
+
+
+def _oracle_case(sampler, seed, n_paths, sigma, horizon):
+    family, fparams = SAMPLERS[sampler]
+    return (seed, n_paths, 1.0, 2.0, 1.0, sigma, horizon, family, np.array(fparams))
+
+
+# sigma=0 draws no diffusion uniforms; at horizons 2 and 0.5 most survivors
+# end in a censored final segment, whose diffusion runs only to the horizon
 @pytest.mark.parametrize(
-    "family, fparams, counts",
+    "sampler, seed, sigma, horizon, counts",
     [
-        (1, [2.5, 2.5], (319, 813)),  # gamma, Marsaglia-Tsang direct
-        (1, [0.5, 0.5], (239, 1064)),  # gamma shape < 1, boosted by u^(1/shape)
-        (2, [3.0, 0.5, 0.8, 1.0, 2.0, 1.0, 0.25], (266, 1543)),  # mixture [k, cumw, rates]
+        ("gamma2.5", 11, 1.0, 50.0, (319, 813)),
+        ("gamma0.5", 11, 1.0, 50.0, (239, 1064)),
+        ("mixture", 11, 1.0, 50.0, (266, 1543)),
+        ("exp", 11, 0.0, 50.0, (0, 928)),
+        ("gamma2.5", 11, 0.0, 50.0, (0, 733)),
+        ("gamma0.5", 11, 0.0, 50.0, (0, 1048)),
+        ("mixture", 11, 0.0, 50.0, (0, 1638)),
+        ("exp", 11, 1.0, 2.0, (232, 732)),
+        ("gamma2.5", 11, 1.0, 2.0, (263, 693)),
+        ("gamma0.5", 11, 1.0, 2.0, (183, 742)),
+        ("mixture", 11, 1.0, 2.0, (190, 806)),
+        ("exp", 11, 1.0, 0.5, (105, 395)),
+        ("gamma2.5", 11, 1.0, 0.5, (136, 397)),
+        ("gamma0.5", 11, 1.0, 0.5, (77, 351)),
+        ("mixture", 11, 1.0, 0.5, (100, 348)),
+        ("exp", 2**64 - 1, 1.0, 50.0, (275, 889)),
+        ("gamma0.5", 2**64 - 1, 1.0, 2.0, (201, 679)),
     ],
-    ids=["gamma2.5", "gamma0.5", "mixture"],
+    ids=[
+        "gamma2.5",
+        "gamma0.5",
+        "mixture",
+        *(f"{name}-sigma0" for name in SAMPLERS),
+        *(f"{name}-h2" for name in SAMPLERS),
+        *(f"{name}-h0.5" for name in SAMPLERS),
+        "exp-seedmax",
+        "gamma0.5-h2-seedmax",
+    ],
 )
-def test_every_sampler_matches_the_oracle(family, fparams, counts):
-    args = (11, 3000, 1.0, 2.0, 1.0, 1.0, 50.0, family, np.array(fparams))
+def test_every_sampler_matches_the_oracle(sampler, seed, sigma, horizon, counts):
+    args = _oracle_case(sampler, seed, 3000, sigma, horizon)
     assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == counts
+
+
+@pytest.mark.parametrize(
+    "sampler, sigma, totals",
+    [
+        ("exp", 0.0, (0, 5)),
+        ("exp", 1.0, (0, 6)),
+        ("gamma2.5", 0.0, (0, 3)),
+        ("gamma2.5", 1.0, (1, 5)),
+        ("gamma0.5", 0.0, (0, 2)),
+        ("gamma0.5", 1.0, (0, 11)),
+        ("mixture", 0.0, (0, 13)),
+        ("mixture", 1.0, (1, 10)),
+    ],
+)
+def test_single_path_matches_the_oracle(sampler, sigma, totals):
+    # one lane, seeds 0..19: the counts summed over the seeds are frozen
+    osc = claim = 0
+    for seed in range(20):
+        args = _oracle_case(sampler, seed, 1, sigma, 50.0)
+        counts = mc_ruin_paths(*args)
+        assert counts == _mc_ruin_paths_py(*args)
+        osc += counts[0]
+        claim += counts[1]
+    assert (osc, claim) == totals
 
 
 def test_nearby_seeds_give_independent_streams():
