@@ -1,6 +1,7 @@
 """Numerical inversion of Laplace transforms on the positive real axis.
 
-Two Bromwich-contour quadratures suited to completely monotone targets:
+Two node/weight choices of one Bromwich-contour sum (Abate & Whitt 2006),
+suited to completely monotone targets:
 
 * fixed-Talbot: the cotangent contour with M nodes; machine-precision-ish
   for smooth transforms at double precision around M = 20..30.
@@ -8,8 +9,9 @@ Two Bromwich-contour quadratures suited to completely monotone targets:
   the last M partial sums); accuracy floor ~ 1e-10 from the 10^{M/3}
   roundoff amplification.
 
-Both evaluate the transform at a vector of complex points per abscissa, so
-callers should pass transforms that accept complex numpy arrays.
+Both take a scalar or an array of abscissae t and evaluate the transform
+once, on an (n_t, nodes) block of complex points, so callers should pass
+transforms that accept complex numpy arrays of any shape.
 """
 
 from __future__ import annotations
@@ -29,31 +31,44 @@ class InversionError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def talbot(transform, t: float, degree: int = 24) -> float:
-    """Fixed-Talbot inversion at t > 0 with M = degree nodes."""
-    if t <= 0.0:
-        raise ValueError("talbot requires t > 0")
-    m = int(degree)
-    r = 2.0 * m / (5.0 * t)
+def _grid(t, degree, name: str):
+    """t as a checked (n_t, 1) column, and the checked node count."""
+    tc = np.asarray(t, dtype=float).reshape(-1, 1)
+    if not np.all(tc > 0.0):
+        raise ValueError(f"{name} requires t > 0")
+    if int(degree) < 1:
+        raise ValueError(f"inversion degree must be at least 1, got {degree!r}")
+    return tc, int(degree)
+
+
+def _shaped(values: np.ndarray, t):
+    """Values back in t's shape, or a float for scalar t."""
+    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
+
+
+def talbot(transform, t, degree: int = 24):
+    """Fixed-Talbot inversion at t > 0 (scalar or array) with M = degree nodes."""
+    tc, m = _grid(t, degree, "talbot")
+    r = 2.0 * m / (5.0 * tc)
     theta = np.arange(1, m) * (math.pi / m)
     cot = np.cos(theta) / np.sin(theta)
-    s = r * theta * (cot + 1j)
+    # node 0 is the real point s = r, the theta -> 0 limit of the contour
+    s = np.concatenate([r + 0j, r * theta * (cot + 1j)], axis=1)
     sigma = theta + (theta * cot - 1.0) * cot
     fs = np.asarray(transform(s))
-    terms = np.real(np.exp(t * s) * fs * (1.0 + 1j * sigma))
-    f0 = 0.5 * math.exp(r * t) * np.real(transform(np.array([r + 0j]))[0])
-    return (r / m) * (f0 + float(np.sum(terms)))
+    terms = np.real(np.exp(tc * s[:, 1:]) * fs[:, 1:] * (1.0 + 1j * sigma))
+    f0 = 0.5 * np.exp(r * tc) * np.real(fs[:, :1])
+    return _shaped(((r / m) * (f0 + np.sum(terms, axis=1, keepdims=True)))[:, 0], t)
 
 
-def euler(transform, t: float, degree: int = 18) -> float:
-    """Euler-summation inversion at t > 0; degree M controls both the
-    series truncation (2M terms) and the binomial averaging window."""
-    if t <= 0.0:
-        raise ValueError("euler requires t > 0")
-    m = int(degree)
+def euler(transform, t, degree: int = 18):
+    """Euler-summation inversion at t > 0 (scalar or array); degree M
+    controls both the series truncation (2M terms) and the binomial
+    averaging window."""
+    tc, m = _grid(t, degree, "euler")
     a = m * math.log(10.0) / 3.0
     k = np.arange(0, 2 * m + 1)
-    s = (a + 1j * math.pi * k) / t  # alpha_k = M ln(10)/3 + i pi k
+    s = (a + 1j * math.pi * k) / tc  # alpha_k = M ln(10)/3 + i pi k
     # xi weights: 1/2, 1, ..., 1, then binomial tail, last is 2^-M
     xi = np.ones(2 * m + 1)
     xi[0] = 0.5
@@ -62,47 +77,42 @@ def euler(transform, t: float, degree: int = 18) -> float:
         xi[2 * m - j] = xi[2 * m - j + 1] + (2.0**-m) * math.comb(m, j)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     fs = np.real(np.asarray(transform(s)))
-    return float((10.0 ** (m / 3.0) / t) * np.sum(xi * signs * fs))
+    return _shaped((10.0 ** (m / 3.0) / tc[:, 0]) * np.sum(xi * signs * fs, axis=1), t)
+
+
+# method -> (rule, default degree, degree step of the self-check)
+_RULES = {"talbot": (talbot, 24, 9), "euler": (euler, 18, 4)}
 
 
 def invert(
     transform,
-    t: float,
+    t,
     method: str = "talbot",
     degree: int | None = None,
     check_tol: float | None = None,
-) -> float:
-    """Invert at t with the chosen method.
+):
+    """Invert at t (scalar or array) with the chosen method; returns a
+    float for scalar t and an array of t's shape otherwise.
 
-    When check_tol is given, the value is recomputed at a higher order and
-    the pair must agree within check_tol, else InversionError carries both
-    values (the usual failure mode is a transform evaluated outside its
-    representable range, which shows up as wild oscillation between orders).
+    When check_tol is given, the values are recomputed at a higher order and
+    each pair must agree within check_tol, else InversionError carries both
+    values at the first t that fails (the usual failure mode is a transform
+    evaluated outside its representable range, which shows up as wild
+    oscillation between orders, or as NaN, which never passes).
     """
-    if method == "talbot":
-        deg = 24 if degree is None else degree
-        value = talbot(transform, t, deg)
-        if check_tol is not None:
-            value_hi = talbot(transform, t, deg + 9)
-            if abs(value - value_hi) > check_tol:
-                raise InversionError(
-                    f"talbot orders {deg}/{deg + 9} disagree at t={t}: "
-                    f"{value} vs {value_hi}",
-                    {"t": t, "value": value, "value_high_order": value_hi},
-                )
-            value = value_hi
+    if method not in _RULES:
+        raise ValueError(f"unknown inversion method {method!r}")
+    rule, default, step = _RULES[method]
+    deg = default if degree is None else degree
+    value = rule(transform, t, deg)
+    if check_tol is None:
         return value
-    if method == "euler":
-        deg = 18 if degree is None else degree
-        value = euler(transform, t, deg)
-        if check_tol is not None:
-            value_hi = euler(transform, t, deg + 4)
-            if abs(value - value_hi) > check_tol:
-                raise InversionError(
-                    f"euler orders {deg}/{deg + 4} disagree at t={t}: "
-                    f"{value} vs {value_hi}",
-                    {"t": t, "value": value, "value_high_order": value_hi},
-                )
-            value = value_hi
-        return value
-    raise ValueError(f"unknown inversion method {method!r}")
+    value_hi = rule(transform, t, deg + step)
+    failing = np.flatnonzero(~(np.abs(value - value_hi) <= check_tol))
+    if failing.size:
+        at, lo, hi = (float(np.ravel(x)[failing[0]]) for x in (t, value, value_hi))
+        raise InversionError(
+            f"{method} orders {deg}/{deg + step} disagree at t={at}: {lo} vs {hi}",
+            {"t": at, "value": lo, "value_high_order": hi},
+        )
+    return value_hi

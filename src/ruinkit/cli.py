@@ -141,7 +141,7 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
     for m in methods:
         try:
             if m == "exact":
-                columns.append(("exact", np.array([exact_ruin(model, x) for x in u])))
+                columns.append(("exact", exact_ruin(model, u)))
             elif m == "dg":
                 if lattice is None:
                     raise UsageError("method dg requires --lattice")
@@ -179,6 +179,14 @@ def _emit(header: list[str], rows: list[list[str]], out_path: str | None) -> Non
         sys.stdout.write(text)
 
 
+def _emit_grid(args, header: list[str], u, columns) -> None:
+    """One CSV row per grid point: u, then each column's value there (a
+    column of None is all NA)."""
+    p = args.precision
+    rows = [[_fmt(x, p)] + [_fmt(None if col is None else col[i], p) for col in columns] for i, x in enumerate(u)]
+    _emit(header, rows, args.out)
+
+
 def _fmt(value, places: int) -> str:
     if value is None or (isinstance(value, float) and not np.isfinite(value)):
         return "NA"
@@ -194,50 +202,27 @@ def _cmd_table(args, model, warnings):
     u = _parse_grid(args.u)
     methods = [m.strip() for m in args.methods.split(",")]
     columns = _eval_columns(model, methods, u, args.lattice, warnings)
-    header = ["u"] + [name for name, _ in columns]
-    p = args.precision
-    rows = []
-    for i, x in enumerate(u):
-        row = [_fmt(x, p)] + [_fmt(None if col is None else col[i], p) for _, col in columns]
-        rows.append(row)
-    _emit(header, rows, args.out)
+    _emit_grid(args, ["u"] + [name for name, _ in columns], u, [col for _, col in columns])
 
 
 def _cmd_errors(args, model, warnings):
     u = _parse_grid(args.u)
     methods = [m.strip() for m in args.methods.split(",") if m.strip() != "exact"]
-    exact_col = np.array([exact_ruin(model, x) for x in u])
+    exact_col = exact_ruin(model, u)
     columns = _eval_columns(model, methods, u, args.lattice, warnings)
     header = ["u"] + [f"eps_{name}" for name, _ in columns]
-    p = args.precision
-    rows = []
-    for i, x in enumerate(u):
-        row = [_fmt(x, p)]
-        for _, col in columns:
-            if col is None:
-                row.append("NA")
-            else:
-                row.append(_fmt(abs(1.0 - col[i] / exact_col[i]), p))
-        rows.append(row)
-    _emit(header, rows, args.out)
+    _emit_grid(args, header, u, [None if col is None else np.abs(1.0 - col / exact_col) for _, col in columns])
 
 
 def _cmd_exact(args, model, warnings):
     u = _parse_grid(args.u)
-    vals = [exact_ruin(model, x, method=args.inversion, degree=args.degree) for x in u]
-    p = args.precision
-    _emit(["u", "psi"], [[_fmt(x, p), _fmt(v, p)] for x, v in zip(u, vals)], args.out)
+    _emit_grid(args, ["u", "psi"], u, [exact_ruin(model, u, method=args.inversion, degree=args.degree)])
 
 
 def _cmd_approx(args, model, warnings):
     u = _parse_grid(args.u)
     columns = _eval_columns(model, [args.method], u, args.lattice, warnings)
-    p = args.precision
-    rows = []
-    for i, x in enumerate(u):
-        col = columns[0][1]
-        rows.append([_fmt(x, p), _fmt(None if col is None else col[i], p)])
-    _emit(["u", "value"], rows, args.out)
+    _emit_grid(args, ["u", "value"], u, [columns[0][1]])
 
 
 def _cmd_bounds(args, model, warnings):
@@ -245,12 +230,8 @@ def _cmd_bounds(args, model, warnings):
     if args.lattice is None:
         raise UsageError("bounds requires --lattice")
     pair = panjer_bounds(model, args.lattice, u, convention=args.convention)
-    p = args.precision
-    rows = []
-    for i, x in enumerate(u):
-        lo, hi = pair.lower.values[i], pair.upper.values[i]
-        rows.append([_fmt(x, p), _fmt(lo, p), _fmt(hi, p), _fmt(hi - lo, p)])
-    _emit(["u", "lower", "upper", "width"], rows, args.out)
+    lo, hi = pair.lower.values, pair.upper.values
+    _emit_grid(args, ["u", "lower", "upper", "width"], u, [lo, hi, hi - lo])
 
 
 def _cmd_coef(args, model, warnings):
@@ -270,12 +251,8 @@ def _cmd_coef(args, model, warnings):
 
 def _cmd_decompose(args, model, warnings):
     curves = decompose_ruin(model, args.umax, step=args.step)
-    p = args.precision
-    rows = []
-    for i, x in enumerate(curves.psi1.u):
-        v1, v2 = curves.psi1.values[i], curves.psi2.values[i]
-        rows.append([_fmt(x, p), _fmt(v1, p), _fmt(v2, p), _fmt(v1 + v2, p)])
-    _emit(["u", "psi1", "psi2", "sum"], rows, args.out)
+    v1, v2 = curves.psi1.values, curves.psi2.values
+    _emit_grid(args, ["u", "psi1", "psi2", "sum"], curves.psi1.u, [v1, v2, v1 + v2])
 
 
 def _cmd_simulate(args, model, warnings):
@@ -359,6 +336,7 @@ _CONFIG_CASTS = {
     "paths": int,
     "seed": int,
     "u_scalar": float,
+    "degree": int,
 }
 
 
@@ -441,6 +419,9 @@ def _require(args) -> None:
         if getattr(args, field, None) is None:
             flag = "--u" if field == "u_scalar" else "--" + field
             raise UsageError(f"{args.command} requires {flag}")
+    degree = getattr(args, "degree", None)
+    if degree is not None and degree < 1:
+        raise UsageError(f"--degree must be at least 1, got {degree!r}")
     for field in ("lattice", "umax", "step"):
         value = getattr(args, field, None)
         if value is not None and not 0.0 < value < np.inf:

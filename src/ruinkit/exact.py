@@ -66,25 +66,25 @@ def exact_ruin(
 ):
     """Ultimate ruin probability Psi(u) by inversion of pk_transform.
 
-    u = 0 is returned without inversion: exactly 1 when sigma > 0, and
-    1 - q on the classical sigma = 0 pathway. Absolute accuracy target is
-    1e-7 over u in [0, 100] (validated against the closed form available
+    u may be a scalar (returns a float) or an array (returns an array of its
+    shape). u = 0 is filled without inversion: exactly 1 when sigma > 0,
+    and 1 - q on the classical sigma = 0 pathway; every positive u goes
+    through one inversion call on the whole grid. Absolute accuracy target
+    is 1e-7 over u in [0, 100] (validated against the closed form available
     for exponential claims). check=True recomputes at a higher quadrature
-    order and raises InversionError on disagreement beyond 1e-6.
+    order and raises InversionError at the first u where the two disagree
+    beyond 1e-6 or either is not finite.
     """
     scalar = np.isscalar(u)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
         raise ValueError("u must be finite and nonnegative")
-    transform = lambda s: model.pk_transform(s)
-    at_zero = 1.0 if model.sigma > 0.0 else 1.0 - model.q
-    out = np.empty(u_arr.shape)
-    tol = 1e-6 if check else None
-    for i, ui in enumerate(u_arr):
-        if ui == 0.0:
-            out[i] = at_zero
-        else:
-            out[i] = _inversion.invert(transform, ui, method=method, degree=degree, check_tol=tol)
+    out = np.full(u_arr.shape, 1.0 if model.sigma > 0.0 else 1.0 - model.q)
+    positive = u_arr > 0.0
+    if np.any(positive):
+        out[positive] = _inversion.invert(
+            model.pk_transform, u_arr[positive], method=method, degree=degree, check_tol=1e-6 if check else None
+        )
     return float(out[0]) if scalar else out
 
 

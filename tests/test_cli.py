@@ -204,6 +204,24 @@ def test_infeasible_methods_emit_na_and_warn(capsys):
     assert "2 warning(s)" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_exact_value_is_a_failure_not_na(capsys):
+    # the transform overflows at u = 1e-200: exact fails with exit 2, and
+    # table turns the exact column into NA with a warning
+    model_u = ["--model", EXP_MODEL, "--u", "1e-200,1"]
+    rc, out, err = run_cli(["exact", *model_u], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "numerical failure: talbot orders 24/33 disagree at t=1e-200: nan vs nan" in err
+    rc, out, err = run_cli(["table", *model_u, "--methods", "exact,4me"], capsys)
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows] == ["NA", "NA"]
+    assert float(rows[1][2]) == pytest.approx(0.989188, abs=1e-6)
+    assert "warning: method exact infeasible: talbot orders 24/33 disagree at t=1e-200" in err
+
+
 def test_published_bounds_reject_loading_from_one_half(capsys):
     model = "lambda=1,theta=0.9,sigma=1,claims=exp:rate=1"
     argv = ["bounds", "--model", model, "--u", "0.5,1,2,5", "--lattice", "0.1"]
@@ -259,6 +277,8 @@ def test_usage_errors_exit_1(capsys):
         ["simulate", "--model", EXP_MODEL, "--u", "1"],  # missing paths/seed
         ["simulate", "--model", EXP_MODEL, "--u", "1", "--paths", "10", "--seed", str(2**64)],
         ["exact", "--model", EXP_MODEL, "--u", "1", "--precision", "0"],
+        ["exact", "--model", EXP_MODEL, "--u", "1", "--degree", "0"],
+        ["exact", "--model", EXP_MODEL, "--u", "1", "--inversion", "euler", "--degree", "-1"],
         ["bounds", "--model", EXP_MODEL, "--u", "1", "--lattice", "inf"],
         ["bounds", "--model", EXP_MODEL, "--u", "1", "--lattice", "nan"],
         ["decompose", "--model", EXP_MODEL, "--umax", "inf"],
@@ -314,11 +334,12 @@ def test_config_file_fills_unset_flags(tmp_path, capsys):
         f"model={EXP_MODEL}\n"
         "u=1,10\n"
         "precision=4\n"
+        "degree=30\n"
     )
     rc, out, _ = run_cli(["exact", "--config", str(cfg)], capsys)
     assert rc == 0
     _, rows = parse_csv(out)
-    assert rows[0][0] == "1.0000"
+    assert rows[0] == ["1.0000", f"{exact_ruin(parse_model(EXP_MODEL), 1.0, degree=30):.4f}"]
 
     # explicit flag beats the file
     rc, out, _ = run_cli(["exact", "--config", str(cfg), "--precision", "2"], capsys)

@@ -7,6 +7,8 @@ import pytest
 
 from ruinkit import (
     Exponential,
+    Gamma,
+    InversionError,
     PerturbedModel,
     RuinCurve,
     de_vylder_ruin,
@@ -42,7 +44,7 @@ def test_matches_closed_form_for_exponential_claims(sigma):
     # available accuracy oracle for the inversion
     m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=sigma, loading=0.01)
     u = np.linspace(0.0, 100.0, 41)
-    got = np.array([exact_ruin(m, x) for x in u])
+    got = exact_ruin(m, u)
     np.testing.assert_allclose(got, de_vylder_ruin(m, u), atol=1e-8)
 
 
@@ -62,7 +64,7 @@ def test_gamma_frozen_values(gamma_model):
 def test_mixture_matches_partial_fraction_solution(mix_model):
     u = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0])
     closed = mixture_exact_ruin(1.0, mix_model.c, 1.0, MIX_WEIGHTS, MIX_RATES, u)
-    inverted = np.array([exact_ruin(mix_model, x) for x in u])
+    inverted = exact_ruin(mix_model, u)
     np.testing.assert_allclose(inverted, closed, atol=1e-9)
 
 
@@ -79,6 +81,33 @@ def test_array_input(exp_model):
     assert isinstance(vals, np.ndarray)
     assert vals[0] == 1.0
     assert vals[1] == pytest.approx(0.989188, abs=5e-7)
+    grid = exact_ruin(exp_model, np.array([[1.0, 0.0], [10.0, 0.0]]))
+    assert grid.shape == (2, 2)
+    np.testing.assert_array_equal(grid, [[vals[1], 1.0], [vals[2], 1.0]])
+
+
+@pytest.mark.parametrize("method, degree, atol", [("talbot", None, 1e-14), ("talbot", 33, 1e-14), ("euler", None, 1e-8)])
+def test_grid_matches_pointwise(method, degree, atol, exp_model, gamma_model, mix_model):
+    # one inversion over the grid against one call per point; u = 0 is
+    # filled from the closed value on both pathways
+    classical = PerturbedModel(Gamma(2.0, 2.0), lam=1.0, sigma=0.0, loading=0.1)
+    u = np.array([0.0, 0.1, 1.0, 5.0, 25.0, 100.0])
+    for m in (exp_model, gamma_model, mix_model, classical):
+        grid = exact_ruin(m, u, method=method, degree=degree)
+        pointwise = [exact_ruin(m, x, method=method, degree=degree) for x in u]
+        np.testing.assert_allclose(grid, pointwise, rtol=0.0, atol=atol)
+        assert grid[0] == exact_ruin(m, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_unrepresentable_transform_is_an_inversion_error(exp_model):
+    # at u = 1e-200 the contour sits near |s| = 1e201 and the transform
+    # overflows to NaN; the self-check must raise rather than return it
+    with pytest.raises(InversionError, match="disagree at t=1e-200: nan vs nan"):
+        exact_ruin(exp_model, 1e-200)
+    with pytest.raises(InversionError, match="t=1e-200"):
+        exact_ruin(exp_model, [0.0, 1e-200, 1.0])
 
 
 def test_scalar_returns_float(exp_model):

@@ -15,14 +15,21 @@ STEP = lambda s: 1.0 / s  # original: 1
 OSC = lambda s: 1.0 / (s * s + 1.0)  # original: sin(t)
 
 
-@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0])
+GRID = np.array([[0.1, 1.0], [5.0, 10.0]])
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0, GRID])
 def test_talbot_decay(t):
-    assert talbot(DECAY, t) == pytest.approx(math.exp(-0.5 * t), abs=1e-10)
+    got = talbot(DECAY, t)
+    assert np.shape(got) == np.shape(t)
+    assert got == pytest.approx(np.exp(-0.5 * t), abs=1e-10)
 
 
-@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0])
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 10.0, GRID])
 def test_euler_decay(t):
-    assert euler(DECAY, t) == pytest.approx(math.exp(-0.5 * t), abs=1e-9)
+    got = euler(DECAY, t)
+    assert np.shape(got) == np.shape(t)
+    assert got == pytest.approx(np.exp(-0.5 * t), abs=1e-9)
 
 
 def test_ramp_and_step():
@@ -42,6 +49,15 @@ def test_t_must_be_positive():
         talbot(DECAY, 0.0)
     with pytest.raises(ValueError):
         euler(DECAY, -1.0)
+    with pytest.raises(ValueError):
+        talbot(DECAY, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("method", ["talbot", "euler"])
+def test_degree_below_one_rejected(method):
+    for degree in (0, -3):
+        with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):
+            invert(DECAY, 1.0, method=method, degree=degree)
 
 
 def test_invert_dispatch():
@@ -49,6 +65,10 @@ def test_invert_dispatch():
     assert invert(DECAY, 2.0, method="euler") == pytest.approx(math.exp(-1.0), abs=1e-9)
     with pytest.raises(ValueError):
         invert(DECAY, 2.0, method="stehfest")
+    for method in ("talbot", "euler"):
+        got = invert(DECAY, GRID, method=method, check_tol=1e-6)
+        assert isinstance(got, np.ndarray) and got.shape == GRID.shape
+        assert isinstance(invert(DECAY, 2.0, method=method, check_tol=1e-6), float)
 
 
 def test_methods_agree():
@@ -70,6 +90,28 @@ def test_check_mode_flags_inconsistent_transform():
     diag = exc_info.value.diagnostics
     assert diag["t"] == 1.0
     assert "value" in diag and "value_high_order" in diag
+
+
+def test_check_mode_rejects_nan():
+    # NaN compares false against any tolerance; the check must not let it by
+    nan_transform = lambda s: DECAY(s) * np.nan
+    assert math.isnan(invert(nan_transform, 1.0))
+    for method in ("talbot", "euler"):
+        with pytest.raises(InversionError, match="disagree at t=1.0: nan vs nan"):
+            invert(nan_transform, 1.0, method=method, check_tol=1e-6)
+
+
+def test_check_mode_names_first_failing_t_of_a_grid():
+    # NaN wherever a node lies right of Re s = 5: the real Talbot node s = r
+    # is 9.6/t at degree 24 and 13.2/t at degree 33, so t = 2 is the first
+    # point of the grid where one order fails, and t = 1 fails at both
+    clipped = lambda s: np.where(np.real(s) > 5.0, np.nan, DECAY(s))
+    with pytest.raises(InversionError, match=r"orders 24/33 disagree at t=2\.0: ") as exc_info:
+        invert(clipped, [5.0, 3.0, 2.0, 1.0], check_tol=1e-6)
+    diag = exc_info.value.diagnostics
+    assert diag["t"] == 2.0
+    assert diag["value"] == pytest.approx(math.exp(-1.0), abs=1e-10)
+    assert math.isnan(diag["value_high_order"])
 
 
 def test_higher_degree_stays_accurate():
