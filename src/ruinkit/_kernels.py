@@ -79,6 +79,24 @@ def _tilt(x, b, start=0):
         return np.sign(x) * np.exp(np.log(np.abs(x)) + b * np.arange(start, start + x.size))
 
 
+def _bisect(f, lo, hi, tol):
+    """Halve a bracket with f(lo) < 0 <= f(hi), keeping that sign, until
+    hi - lo <= tol or lo and hi are adjacent floats (so tol = 0 runs to the
+    last float). Returns (lo, hi, calls to f). Both Lundberg equations use
+    it: the lattice tilt below and coefficients.adjustment_coefficient."""
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        iterations += 1
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, iterations
+
+
 def _lundberg_exponent(a, kern, n):
     # b >= 0 with a * sum_{i>=1} kern[i] e^{b i} = 1, to within 0.1/n: the
     # tilted solution then drifts by at most e^{0.1} over the n terms
@@ -94,14 +112,8 @@ def _lundberg_exponent(a, kern, n):
 
     if log_mass(0.0) >= 0.0:
         return 0.0
-    lo, hi = 0.0, float(np.min(-logw / i))  # one term alone reaches 1 at hi
-    while hi - lo > 0.1 / n:
-        mid = 0.5 * (lo + hi)
-        if log_mass(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # one term alone reaches 1 at the upper end
+    return _bisect(log_mass, 0.0, float(np.min(-logw / i)), 0.1 / n)[0]
 
 
 def _reciprocal(d, n):

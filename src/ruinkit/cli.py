@@ -116,6 +116,8 @@ def _parse_grid(text: str) -> np.ndarray:
         grid = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
         raise UsageError(f"bad u grid {text!r}: {exc}") from exc
+    if not np.all((grid >= 0.0) & (grid < np.inf)):
+        raise UsageError(f"u grid points must be finite and non-negative, got {text!r}")
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise UsageError("u grid must be strictly increasing")
     return grid
@@ -183,8 +185,14 @@ def _emit_grid(args, header: list[str], u, columns) -> None:
     """One CSV row per grid point: u, then each column's value there (a
     column of None is all NA)."""
     p = args.precision
-    rows = [[_fmt(x, p)] + [_fmt(None if col is None else col[i], p) for col in columns] for i, x in enumerate(u)]
+    rows = [[_fmt_u(x, p)] + [_fmt(None if col is None else col[i], p) for col in columns] for i, x in enumerate(u)]
     _emit(header, rows, args.out)
+
+
+def _fmt_u(x, places: int) -> str:
+    # fixed point, unless that would print a positive u as zero
+    cell = _fmt(x, places)
+    return f"{x:.{places}g}" if x > 0.0 and float(cell) == 0.0 else cell
 
 
 def _fmt(value, places: int) -> str:

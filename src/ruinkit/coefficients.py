@@ -6,7 +6,8 @@ The adjustment coefficient R is the positive root of
     g(r) = lam * (M_X(r) - 1) - c*r + sigma^2 r^2 / 2 = 0,
 
 which exists inside (0, mgf_sup) under the net-profit condition because
-g(0) = 0 with g'(0) = lam*mu1 - c < 0 and M_X blows up at mgf_sup.
+g(0) = 0 with g'(0) = lam*mu1 - c < 0 and M_X blows up at mgf_sup. R comes
+from the bisection that also finds the lattice tilt (_kernels._bisect).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._kernels import _bisect
 from .model import PerturbedModel
 
 __all__ = [
@@ -40,55 +41,44 @@ class AdjustmentResult:
 
 
 def _g(model: PerturbedModel, r: float) -> float:
+    # r stays in [1e-12, hi] with hi < mgf_sup, so the domain guard of
+    # mgf() is redundant here
     return (
-        model.lam * (model.claims.mgf(r) - 1.0)
+        model.lam * (model.claims._mgf_unchecked(r) - 1.0)
         - model.c * r
         + 0.5 * model.sigma**2 * r * r
     )
 
 
 def adjustment_coefficient(model: PerturbedModel) -> AdjustmentResult:
-    """Find R by bracketed root-finding on g.
+    """Find R by bisection on g down to adjacent floats.
 
     The lower end is fixed at 1e-12 (g must be negative there); the upper end
     starts at 0.999 * mgf_sup and moves geometrically closer to mgf_sup until
-    g is positive, since the MGF divergence guarantees a sign change.
+    g is positive, since the MGF divergence guarantees a sign change. R is
+    the end of the final bracket with the smaller |g|.
     """
     sup = model.claims.mgf_sup
-    if not sup > 0.0:
-        raise NoRootError("claim MGF has empty positive domain")
     lo = 1e-12
+    if not lo < sup:
+        raise NoRootError("claim MGF has empty positive domain")
     g_lo = _g(model, lo)
     if not g_lo < 0.0:
         raise NoRootError(f"g({lo}) = {g_lo}, expected negative under net profit")
     hi = None
-    g_hi = None
     for k in range(3, 16):
         cand = sup * (1.0 - 10.0**-k)
         g_cand = _g(model, cand)
         if g_cand > 0.0:
-            hi, g_hi = cand, g_cand
+            hi = cand
             break
     if hi is None:
         raise NoRootError(
             f"no sign change in ({lo}, {sup}): g(lo) = {g_lo}, g(near sup) = {g_cand}"
         )
-    root, info = optimize.brentq(
-        lambda r: _g(model, r),
-        lo,
-        hi,
-        xtol=1e-300,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=200,
-        full_output=True,
-    )
-    residual = abs(_g(model, root))
-    return AdjustmentResult(
-        R=float(root),
-        bracket=(lo, hi),
-        residual=residual,
-        iterations=int(info.iterations),
-    )
+    a, b, iterations = _bisect(lambda r: _g(model, r), lo, hi, 0.0)
+    residual, root = min((abs(_g(model, r)), r) for r in (a, b))
+    return AdjustmentResult(R=float(root), bracket=(lo, hi), residual=residual, iterations=iterations)
 
 
 def lundberg_bound(model: PerturbedModel, u, R: float | None = None):

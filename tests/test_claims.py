@@ -324,8 +324,11 @@ class TestLadderGenericPath:
                 with pytest.raises(ValueError, match="tau must be finite and positive"):
                     method(1.0, tau)
 
-    def test_cli_import_does_not_load_quadrature(self):
-        code = "import sys, ruinkit.cli; print('scipy.integrate' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+    def test_cli_import_does_not_load(self, module):
+        # neither is needed to run the CLI, and each costs every call
+        # a share of its start-up time
+        code = f"import sys, ruinkit.cli; print({module!r} in sys.modules)"
         src = str(Path(ruinkit.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,

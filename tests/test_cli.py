@@ -204,8 +204,6 @@ def test_infeasible_methods_emit_na_and_warn(capsys):
     assert "2 warning(s)" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nan_exact_value_is_a_failure_not_na(capsys):
     # the transform overflows at u = 1e-200: exact fails with exit 2, and
     # table turns the exact column into NA with a warning
@@ -220,6 +218,14 @@ def test_nan_exact_value_is_a_failure_not_na(capsys):
     assert [row[1] for row in rows] == ["NA", "NA"]
     assert float(rows[1][2]) == pytest.approx(0.989188, abs=1e-6)
     assert "warning: method exact infeasible: talbot orders 24/33 disagree at t=1e-200" in err
+
+
+def test_tiny_u_does_not_print_as_zero(capsys):
+    rc, out, _ = run_cli(["table", "--model", EXP_MODEL, "--methods", "4me", "--u", "1e-200,1"], capsys)
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert float(rows[0][0]) == 1e-200
+    assert rows[1][0] == "1.000000"  # u cells that fixed point shows keep it
 
 
 def test_published_bounds_reject_loading_from_one_half(capsys):
@@ -271,6 +277,9 @@ def test_usage_errors_exit_1(capsys):
         ["exact", "--model", "claims=exp:rate=1,theta=0.1,bogus=3", "--u", "1"],
         ["exact", "--model", "lambda=1,theta=0.1,sigma=1", "--u", "1"],  # no claims
         ["exact", "--model", EXP_MODEL, "--u", "2,1"],  # not increasing
+        ["table", "--model", EXP_MODEL, "--methods", "4me,ren2", "--u=-1,1"],  # negative u
+        ["table", "--model", EXP_MODEL, "--methods", "4me,ren2", "--u=nan,1"],
+        ["exact", "--model", EXP_MODEL, "--u=inf"],
         ["exact", "--model", EXP_MODEL],  # missing --u
         ["table", "--model", EXP_MODEL, "--methods", "exact,dg", "--u", "1"],  # dg, no lattice
         ["approx", "--model", EXP_MODEL, "--method", "bogus", "--u", "1"],

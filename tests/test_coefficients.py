@@ -12,6 +12,8 @@ from ruinkit import (
     lundberg_bound,
     renyi_coefficient,
 )
+from ruinkit.approx import de_vylder_fit
+from ruinkit.coefficients import NoRootError
 
 
 def test_unit_loading_closed_form():
@@ -41,10 +43,33 @@ def test_mixture_table_model(mix_model):
     assert res.R < mix_model.claims.mgf_sup
 
 
-def test_sigma_zero_exponential():
+@pytest.mark.parametrize("loading", [0.01, 0.1, 1.0, 4.0])
+def test_sigma_zero_exponential(loading):
     # classical compound Poisson: R = theta*rate/(1+theta) for Exp claims
-    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=1.0)
-    assert adjustment_coefficient(m).R == pytest.approx(0.5, abs=1e-12)
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=loading)
+    R = adjustment_coefficient(m).R
+    assert R == pytest.approx(loading / (1.0 + loading), abs=1e-12)
+    assert R == pytest.approx(loading / (1.0 + loading), rel=1e-11)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("loading", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("rate", [0.5, 3.0])
+def test_perturbed_exponential_closed_form(sigma, loading, rate):
+    # Exp(beta) claims with sigma > 0: R is the smaller root of
+    # sigma^2 r^2 - (2c + beta sigma^2) r + 2(c beta - lam), which the
+    # De Vylder fit (the identity for exponential claims) reports as rate1.
+    # Its closed form cancels for small R, and g's own noise at the root is
+    # about 1e-16 / (theta lam mu); together they stay below 2e-11
+    m = PerturbedModel(Exponential(rate), lam=1.0, sigma=sigma, loading=loading)
+    assert adjustment_coefficient(m).R == pytest.approx(de_vylder_fit(m).rate1, rel=1e-10)
+
+
+def test_mgf_domain_below_the_bracket_is_no_root():
+    # mgf_sup = 1e-13 lies below the fixed lower end 1e-12 of the bracket
+    m = PerturbedModel(Exponential(1e-13), lam=1.0, sigma=1.0, loading=0.1)
+    with pytest.raises(NoRootError, match="claim MGF has empty positive domain"):
+        adjustment_coefficient(m)
 
 
 def test_result_diagnostics(exp_model):

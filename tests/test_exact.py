@@ -99,8 +99,6 @@ def test_grid_matches_pointwise(method, degree, atol, exp_model, gamma_model, mi
         assert grid[0] == exact_ruin(m, 0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_unrepresentable_transform_is_an_inversion_error(exp_model):
     # at u = 1e-200 the contour sits near |s| = 1e201 and the transform
     # overflows to NaN; the self-check must raise rather than return it

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ruinkit import Exponential, PerturbedModel
+from ruinkit._kernels import _bisect
 from ruinkit.bounds import discretize_ladder, lattice_convolve, panjer_compound
 from ruinkit.exact import volterra_march
 
@@ -106,3 +107,37 @@ def test_volterra_rejects_nonzero_kernel_origin():
     kern = np.ones(10)
     with pytest.raises(ValueError):
         volterra_march(forcing, kern, 1.0, 0.1)
+
+
+class TestBisect:
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return f(x)
+
+        return wrapped, calls
+
+    def test_stops_at_tol_with_the_sign_kept(self):
+        f, calls = self.counted(lambda x: x - 0.3)
+        lo, hi, iterations = _bisect(f, 0.0, 1.0, 2.0**-10)
+        assert iterations == len(calls) == 10  # halved from width 1 to tol
+        assert hi - lo == 2.0**-10
+        assert lo - 0.3 < 0.0 <= hi - 0.3
+
+    def test_tol_zero_runs_to_adjacent_floats(self):
+        step = 0.1  # f changes sign exactly at this float
+        f, calls = self.counted(lambda x: -1.0 if x < step else 1.0)
+        lo, hi, iterations = _bisect(f, 0.0, 1.0, 0.0)
+        assert (lo, hi) == (np.nextafter(step, 0.0), step)
+        assert iterations == len(calls) > 50
+
+    def test_root_on_a_midpoint_stays_the_upper_end(self):
+        # f(mid) = 0 counts as not negative, so hi takes it
+        lo, hi, iterations = _bisect(lambda x: x - 0.5, 0.0, 1.0, 0.25)
+        assert (lo, hi, iterations) == (0.25, 0.5, 2)
+
+    def test_no_step_when_the_bracket_is_within_tol(self):
+        assert _bisect(lambda x: x, -1.0, 1.0, 2.0) == (-1.0, 1.0, 0)
