@@ -17,6 +17,11 @@ shape. Transform functions (mgf, laplace, equilibrium_laplace) also accept
 complex arguments; on the real axis the MGF is guarded at its divergence
 point, while complex off-axis evaluation follows the analytic continuation
 needed by the inversion contour.
+
+Only the gamma family needs scipy: its four tail methods call the
+regularized incomplete gamma functions of scipy.special, imported on first
+use. Importing this module, or running an exponential or mixture model,
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "ClaimDistribution",
@@ -82,6 +86,11 @@ class ClaimDistribution(ABC):
     @abstractmethod
     def _mgf_unchecked(self, r):
         """Analytic continuation of the MGF; no domain guard."""
+
+    @abstractmethod
+    def _mgf_minus_one(self, r: float) -> float:
+        """M(r) - 1 for real r below mgf_sup, formed without the
+        cancellation of subtracting 1 from an MGF near 1."""
 
     @property
     @abstractmethod
@@ -272,6 +281,9 @@ class Exponential(ClaimDistribution):
     def _mgf_unchecked(self, r):
         return self.rate / (self.rate - np.asarray(r)) if not np.isscalar(r) else self.rate / (self.rate - r)
 
+    def _mgf_minus_one(self, r: float) -> float:
+        return r / (self.rate - r)
+
     @property
     def mgf_sup(self) -> float:
         return self.rate
@@ -311,23 +323,34 @@ class Gamma(ClaimDistribution):
         base = 1.0 - np.asarray(r) / self.rate
         return np.power(base, -self.shape) if not np.isscalar(r) else (1.0 - r / self.rate) ** -self.shape
 
+    def _mgf_minus_one(self, r: float) -> float:
+        return math.expm1(-self.shape * math.log1p(-r / self.rate))
+
     @property
     def mgf_sup(self) -> float:
         return self.rate
 
     def cdf(self, x):
+        from scipy import special
+
         return special.gammainc(self.shape, self.rate * np.asarray(x))
 
     def tail(self, x):
+        from scipy import special
+
         return special.gammaincc(self.shape, self.rate * np.asarray(x))
 
     def integrated_tail(self, x):
+        from scipy import special
+
         # x Q(a, bx) plus int_0^x t f(t) dt = (a/b) P(a+1, bx)
         x_arr = np.asarray(x)
         bx = self.rate * x_arr
         return x_arr * special.gammaincc(self.shape, bx) + self.mean * special.gammainc(self.shape + 1.0, bx)
 
     def upper_integrated_tail(self, x):
+        from scipy import special
+
         # int_x^inf t f(t) dt = (a/b) Q(a+1, bx), less x Q(a, bx). The two
         # terms agree to a factor 1 + O(1/(bx)), so the difference loses a
         # factor bx on the ~eps * bx error scipy's Q already carries in the
@@ -371,6 +394,9 @@ class MixedExponential(ClaimDistribution):
         r_arr = np.asarray(r)
         total = sum(w * (b / (b - r_arr)) for w, b in zip(self.weights, self.rates))
         return total if not np.isscalar(r) else complex(total) if np.iscomplexobj(r_arr) else float(total)
+
+    def _mgf_minus_one(self, r: float) -> float:
+        return sum(w * r / (b - r) for w, b in zip(self.weights, self.rates))
 
     @property
     def mgf_sup(self) -> float:

@@ -113,7 +113,8 @@ def parse_model(text: str) -> PerturbedModel:
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
-        grid = np.array([float(x) for x in text.split(",")], dtype=float)
+        # + 0.0 turns a -0 point into 0, so it does not print as -0.000000
+        grid = np.array([float(x) for x in text.split(",")], dtype=float) + 0.0
     except ValueError as exc:
         raise UsageError(f"bad u grid {text!r}: {exc}") from exc
     if not np.all((grid >= 0.0) & (grid < np.inf)):

@@ -8,6 +8,8 @@ The adjustment coefficient R is the positive root of
 which exists inside (0, mgf_sup) under the net-profit condition because
 g(0) = 0 with g'(0) = lam*mu1 - c < 0 and M_X blows up at mgf_sup. R comes
 from the bisection that also finds the lattice tilt (_kernels._bisect).
+Each claim family forms M_X(r) - 1 without subtracting 1 (_mgf_minus_one),
+so R comes out within a few ulp of the root and the residual is |g| there.
 """
 
 from __future__ import annotations
@@ -42,9 +44,11 @@ class AdjustmentResult:
 
 def _g(model: PerturbedModel, r: float) -> float:
     # r stays in [1e-12, hi] with hi < mgf_sup, so the domain guard of
-    # mgf() is redundant here
+    # mgf() is redundant here. M(r) - 1 comes without cancellation: near
+    # the root, 1e-16 of noise in it would move R by 1e-16 / g'(R), about
+    # 1e-12 to 2e-11 relative at a loading of 0.01
     return (
-        model.lam * (model.claims._mgf_unchecked(r) - 1.0)
+        model.lam * model.claims._mgf_minus_one(r)
         - model.c * r
         + 0.5 * model.sigma**2 * r * r
     )

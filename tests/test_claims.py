@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 import ruinkit
 from ruinkit import Exponential, Gamma, MixedExponential
+from ruinkit.cli import main
 
 import _reference_ladder as ref
 from conftest import MIX_RATES, MIX_WEIGHTS
@@ -134,6 +135,21 @@ class TestMixedExponential:
             MixedExponential((0.5, 0.5), (1.0, -2.0))
         with pytest.raises(ValueError, match="rate must be finite and positive"):
             MixedExponential((0.5, 0.5), (1.0, math.inf))
+
+
+@pytest.mark.parametrize(
+    "d", [Exponential(2.0), Gamma(2.5, 2.0), MixedExponential(MIX_WEIGHTS, MIX_RATES)], ids=repr
+)
+def test_mgf_minus_one_keeps_its_digits_near_zero(d):
+    # mgf(r) - 1 would leave only about 1e-16 / (r mu) of relative accuracy
+    # here; the moment series is exact to far below 1e-14 at these r
+    mu = [d.raw_moment(k) for k in (1, 2, 3)]
+    for r in (1e-12 * d.mgf_sup, 1e-6 * d.mgf_sup):
+        series = r * mu[0] + r**2 * mu[1] / 2 + r**3 * mu[2] / 6
+        assert d._mgf_minus_one(r) == pytest.approx(series, rel=1e-14, abs=0.0)
+    # away from 0 it is M(r) - 1, up to the 1e-16 that subtraction rounds to
+    r = 0.5 * d.mgf_sup
+    assert d._mgf_minus_one(r) == pytest.approx(d.mgf(r) - 1.0, rel=1e-14, abs=1e-15)
 
 
 class TestEquilibriumLaplace:
@@ -324,14 +340,54 @@ class TestLadderGenericPath:
                 with pytest.raises(ValueError, match="tau must be finite and positive"):
                     method(1.0, tau)
 
-    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.optimize"])
+    @pytest.mark.parametrize("module", ["scipy", "scipy.special", "scipy.integrate", "scipy.optimize"])
     def test_cli_import_does_not_load(self, module):
-        # neither is needed to run the CLI, and each costs every call
-        # a share of its start-up time
+        # none is needed to import the CLI, and each costs every call a
+        # share of its start-up time
         code = f"import sys, ruinkit.cli; print({module!r} in sys.modules)"
-        src = str(Path(ruinkit.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=src),
+        assert _run_fresh(code).strip() == "False"
+
+
+GAMMA_BOUNDS = ["bounds", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2.5,rate=2",
+                "--lattice", "0.05", "--u", "0,1,5,20"]
+
+
+def _run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter on this checkout's package."""
+    src = str(Path(ruinkit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return out.stdout
+
+
+class TestScipyLoadedByGammaOnly:
+    def test_exponential_and_mixture_jobs_leave_scipy_unloaded(self):
+        # only the gamma law's incomplete gamma functions need scipy
+        code = (
+            "import contextlib, io, sys, ruinkit.cli\n"
+            "jobs = [['exact', '--model', 'lambda=1,theta=0.01,sigma=1,claims=exp:rate=1', '--u', '0,1,10'],\n"
+            "        ['bounds', '--model', 'lambda=1,theta=0.1,sigma=1,"
+            "claims=mexp:w=0.6,0.4;b=2,0.5', '--lattice', '0.05', '--u', '1,5']]\n"
+            "for argv in jobs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert ruinkit.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert out.stdout.strip() == "False"
+        assert _run_fresh(code).strip() == "[]"
+
+    def test_gamma_job_in_fresh_interpreter_matches_in_process(self, capsys):
+        # the first tail evaluation loads scipy.special; the numbers are the
+        # ones an interpreter that already holds it prints
+        code = (
+            "import sys, ruinkit.cli\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"assert ruinkit.cli.main({GAMMA_BOUNDS!r}) == 0\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        fresh = _run_fresh(code)
+        assert main(GAMMA_BOUNDS) == 0
+        in_process = capsys.readouterr().out
+        assert fresh == in_process
+        assert fresh.startswith("u,lower,upper,width\n") and fresh.count("\n") == 5

@@ -228,6 +228,14 @@ def test_tiny_u_does_not_print_as_zero(capsys):
     assert rows[1][0] == "1.000000"  # u cells that fixed point shows keep it
 
 
+def test_negative_zero_u_prints_as_zero(capsys):
+    rc, out, _ = run_cli(["exact", "--model", EXP_MODEL, "--u=-0,1"], capsys)
+    assert rc == 0
+    _, rows = parse_csv(out)
+    assert [row[0] for row in rows] == ["0.000000", "1.000000"]
+    assert rows[0][1] == "1.000000"
+
+
 def test_published_bounds_reject_loading_from_one_half(capsys):
     model = "lambda=1,theta=0.9,sigma=1,claims=exp:rate=1"
     argv = ["bounds", "--model", model, "--u", "0.5,1,2,5", "--lattice", "0.1"]

@@ -65,6 +65,38 @@ def test_perturbed_exponential_closed_form(sigma, loading, rate):
     assert adjustment_coefficient(m).R == pytest.approx(de_vylder_fit(m).rate1, rel=1e-10)
 
 
+# 30 digits of R for the three theta = 0.01 table models (lam = 1, sigma = 1),
+# with c and the claim parameters taken as the doubles the models hold. The
+# mixture's M(r) - 1 is sum w r / (b - r): its weights are read as a law.
+#
+#   import mpmath as mp
+#   mp.mp.dps = 50
+#   def root(mgf_minus_one, c, guess):
+#       g = lambda r: mgf_minus_one(r) - mp.mpf(c) * r + r * r / 2
+#       return mp.findroot(g, (0.9 * mp.mpf(guess), 1.1 * mp.mpf(guess)), solver="anderson")
+#   root(lambda r: r / (1 - r), 1.01, 0.0066)                       # exp
+#   root(lambda r: (1 - r / 2) ** -2 - 1, 1.01, 0.0080)             # gamma
+#   root(lambda r: mp.fsum(mp.mpf(w) * r / (mp.mpf(b) - r)
+#                          for w, b in zip(MIX_WEIGHTS, MIX_RATES)),
+#        1.0099976730482052, 0.00044)                               # mixture
+ROOTS_50_DIGIT = {
+    "exp_model": 0.00663710302535403354653649786418,
+    "gamma_model": 0.0079744359621720788671551119898,
+    "mix_model": 0.000440847571595383665025408820166,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTS_50_DIGIT))
+def test_root_against_mpmath(name, request):
+    # M(r) - 1 formed without cancellation pins R to a few ulp; g's slope
+    # at the root is only about theta lam mu, so 1e-16 of noise in M(r) - 1
+    # would move R by 1e-12 to 2.5e-11 relative
+    model = request.getfixturevalue(name)
+    assert model.c == (1.0099976730482052 if name == "mix_model" else 1.01)
+    R = adjustment_coefficient(model).R
+    assert R == pytest.approx(ROOTS_50_DIGIT[name], rel=2e-14, abs=0.0)
+
+
 def test_mgf_domain_below_the_bracket_is_no_root():
     # mgf_sup = 1e-13 lies below the fixed lower end 1e-12 of the bracket
     m = PerturbedModel(Exponential(1e-13), lam=1.0, sigma=1.0, loading=0.1)
