@@ -35,6 +35,7 @@ __all__ = [
     "mixture_exact_ruin",
     "renyi_approx",
     "pkdv_approx",
+    "pkdv_coefficients",
     "two_point_pade_params",
     "two_point_pade",
     "relative_error",

@@ -143,9 +143,10 @@ class ClaimDistribution(ABC):
     def cdf(self, x):
         """P(X <= x); 0 at x = 0."""
 
+    @abstractmethod
     def tail(self, x):
-        """P(X > x)."""
-        return 1.0 - self.cdf(x)
+        """P(X > x), computed directly: 1 - cdf(x) would lose the relative
+        accuracy that the ladder tail, the bounds and the cause split need."""
 
     def equilibrium_density(self, x):
         """Density of the integrated-tail distribution, tail(x) / mean."""

@@ -19,7 +19,7 @@ from . import approx as approx_mod
 from ._inversion import InversionError
 from .bounds import panjer_bounds
 from .claims import ClaimDistribution, Exponential, Gamma, MixedExponential
-from .coefficients import NoRootError, adjustment_coefficient, renyi_coefficient
+from .coefficients import NoRootError, adjustment_coefficient, lundberg_bound, renyi_coefficient
 from .exact import decompose_ruin, exact_ruin
 from .model import PerturbedModel
 from .montecarlo import SimConfig, simulate_ruin
@@ -162,7 +162,7 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
             elif m == "lundberg":
                 res = adjustment_coefficient(model)
                 _note_mixture_rate(model, res.R)
-                columns.append(("lundberg", np.exp(-res.R * u)))
+                columns.append(("lundberg", lundberg_bound(model, u, R=res.R)))
             else:
                 raise UsageError(f"unknown method {m!r} (choose from {', '.join(_TABLE_METHODS)})")
         except UsageError:

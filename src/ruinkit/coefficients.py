@@ -1,9 +1,9 @@
 """Adjustment coefficient, the Lundberg exponential bound, and the
 two-moment exponential decay coefficient.
 
-The adjustment coefficient R is the positive root of
+The adjustment coefficient R is the positive root of the Lundberg equation
 
-    g(r) = lam * (M_X(r) - 1) - c*r + sigma^2 r^2 / 2 = 0,
+    g(r) = model.levy_exponent(-r) = lam * (M_X(r) - 1) - c*r + sigma^2 r^2 / 2 = 0,
 
 which exists inside (0, mgf_sup) under the net-profit condition because
 g(0) = 0 with g'(0) = lam*mu1 - c < 0 and M_X blows up at mgf_sup. R comes
@@ -42,20 +42,8 @@ class AdjustmentResult:
     iterations: int
 
 
-def _g(model: PerturbedModel, r: float) -> float:
-    # r stays in [1e-12, hi] with hi < mgf_sup, so the domain guard of
-    # mgf() is redundant here. M(r) - 1 comes without cancellation: near
-    # the root, 1e-16 of noise in it would move R by 1e-16 / g'(R), about
-    # 1e-12 to 2e-11 relative at a loading of 0.01
-    return (
-        model.lam * model.claims._mgf_minus_one(r)
-        - model.c * r
-        + 0.5 * model.sigma**2 * r * r
-    )
-
-
 def adjustment_coefficient(model: PerturbedModel) -> AdjustmentResult:
-    """Find R by bisection on g down to adjacent floats.
+    """Find R by bisection on g(r) = model.levy_exponent(-r) down to adjacent floats.
 
     The lower end is fixed at 1e-12 (g must be negative there); the upper end
     starts at 0.999 * mgf_sup and moves geometrically closer to mgf_sup until
@@ -66,13 +54,17 @@ def adjustment_coefficient(model: PerturbedModel) -> AdjustmentResult:
     lo = 1e-12
     if not lo < sup:
         raise NoRootError("claim MGF has empty positive domain")
-    g_lo = _g(model, lo)
+
+    def g(r: float) -> float:
+        return model.levy_exponent(-r)
+
+    g_lo = g(lo)
     if not g_lo < 0.0:
         raise NoRootError(f"g({lo}) = {g_lo}, expected negative under net profit")
     hi = None
     for k in range(3, 16):
         cand = sup * (1.0 - 10.0**-k)
-        g_cand = _g(model, cand)
+        g_cand = g(cand)
         if g_cand > 0.0:
             hi = cand
             break
@@ -80,8 +72,8 @@ def adjustment_coefficient(model: PerturbedModel) -> AdjustmentResult:
         raise NoRootError(
             f"no sign change in ({lo}, {sup}): g(lo) = {g_lo}, g(near sup) = {g_cand}"
         )
-    a, b, iterations = _bisect(lambda r: _g(model, r), lo, hi, 0.0)
-    residual, root = min((abs(_g(model, r)), r) for r in (a, b))
+    a, b, iterations = _bisect(g, lo, hi, 0.0)
+    residual, root = min((abs(g(r)), r) for r in (a, b))
     return AdjustmentResult(R=float(root), bracket=(lo, hi), residual=residual, iterations=iterations)
 
 

@@ -11,9 +11,10 @@ Derived quantities used throughout:
     rho = c*q, the profit parameter
 
 The module also exposes the transforms every solver consumes: the central
-moments of V(t), the Levy exponent of the net-drift process, the Laplace
-transform of the ultimate ruin probability (Pollaczek-Khinchine form), and
-the MGF of the maximal aggregate loss.
+moments of V(t), the Levy exponent of the net-drift process (whose root at
+-R defines the adjustment coefficient R), the Laplace transform Psi* of the
+ultimate ruin probability (Pollaczek-Khinchine form), and the MGF of the
+maximal aggregate loss L, which is 1 + r Psi*(-r) for every sigma >= 0.
 """
 
 from __future__ import annotations
@@ -116,18 +117,19 @@ class PerturbedModel:
 
     # -- transforms ------------------------------------------------------------
 
-    def levy_exponent(self, s):
-        """Laplace exponent of the claims-minus-premium net process.
+    def levy_exponent(self, s: float) -> float:
+        """Laplace exponent of the claims-minus-premium net process at real s.
 
-        c*s - lam*(1 - laplace_X(s)) + sigma^2 s^2 / 2; vanishes at 0 with
-        slope c - lam*mu1 > 0.
+        c*s + lam*(M_X(-s) - 1) + sigma^2 s^2 / 2; vanishes at 0 with slope
+        c - lam*mu1 > 0, and at s = -R, R the adjustment coefficient. The
+        claim family forms M_X(-s) - 1 without subtracting 1, so the value
+        keeps its relative accuracy near s = 0 and its sign near -R.
         """
-        s_arr = s if np.isscalar(s) else np.asarray(s)
-        return (
-            self.c * s_arr
-            - self.lam * (1.0 - self.claims._mgf_unchecked(-s_arr))
-            + 0.5 * self.sigma**2 * s_arr * s_arr
-        )
+        if not -s < self.claims.mgf_sup:
+            raise ValueError(
+                f"levy_exponent argument {s!r} not above -mgf_sup = {-self.claims.mgf_sup!r}"
+            )
+        return self.c * s + self.lam * self.claims._mgf_minus_one(-s) + 0.5 * self.sigma**2 * s * s
 
     def pk_transform(self, s):
         """Laplace transform Psi*(s) of the ultimate ruin probability.
@@ -150,34 +152,26 @@ class PerturbedModel:
         return (s + tau * (1.0 - q) * (1.0 - h2)) / (s * (s + tau - tau * (1.0 - q) * h2))
 
     def mgf_max_loss(self, r: float) -> float:
-        """MGF of the maximal aggregate loss L = sup_t (loss process).
+        """MGF E[e^{rL}] of the maximal aggregate loss L = sup_t (loss process).
 
-        M_L(r) = q r tau mu1 / [r (tau - r) mu1 + (q-1) tau (M_X(r) - 1)],
-        with M_L(0) = 1 by limit (second-order Taylor of the denominator
-        keeps the quotient finite through r = 0).
+        1 + r Psi*(-r) for every sigma >= 0, since psi(u) = P(L > u); exactly
+        1 at r = 0. It is finite for r below the adjustment coefficient R,
+        where levy_exponent(-r) < 0, and a ValueError at or beyond R.
         """
-        q = self.q
-        tau = self.tau
-        mu1 = self.claims.raw_moment(1)
-        mu2 = self.claims.raw_moment(2)
-        mu3 = self.claims.raw_moment(3)
-        # denominator D(r) = r(tau-r)mu1 + (q-1)tau(M_X(r)-1) has a simple
-        # zero at 0; D(r)/r -> q tau mu1 - r [mu1 + (1-q) tau mu2/2] - ...
-        denom_scale = q * tau * mu1
-        if abs(r) * (mu1 + (1.0 - q) * tau * mu2 / 2.0) < 1e-8 * denom_scale:
-            lin = mu1 + (1.0 - q) * tau * mu2 / 2.0
-            quad = (1.0 - q) * tau * mu3 / 6.0
-            return q * tau * mu1 / (denom_scale - r * lin - r * r * quad)
-        mgf_val = self.claims.mgf(r)  # domain-guarded; diverges at mgf_sup
-        denom = r * (tau - r) * mu1 + (q - 1.0) * tau * (mgf_val - 1.0)
-        # the denominator has a zero exactly at the adjustment coefficient;
-        # for r < 0 numerator and denominator are both negative, which is fine
-        if r > 0.0 and denom <= 0.0:
-            raise ValueError(
-                f"maximal-loss MGF diverges at r={r!r} (argument at or beyond "
-                "the adjustment coefficient)"
-            )
-        return q * r * tau * mu1 / denom
+        if r == 0.0:
+            return 1.0
+        if r < 0.0:
+            return 1.0 + r * self.pk_transform(-r)
+        # R is where levy_exponent(-r) turns positive; the pole of Psi*(-r)
+        # lies within a few ulp of it, on either side, so the value is checked too
+        if r < self.claims.mgf_sup and self.levy_exponent(-r) < 0.0:
+            value = 1.0 + r * self.pk_transform(-r)
+            if value > 1.0:
+                return value
+        raise ValueError(
+            f"maximal-loss MGF diverges at r={r!r} (argument at or beyond "
+            "the adjustment coefficient)"
+        )
 
     def mean_max_loss(self) -> float:
         """E[L] = (sigma^2 + lam*mu2) / (2 c q), the integral of the ruin curve."""

@@ -152,6 +152,12 @@ def test_mgf_minus_one_keeps_its_digits_near_zero(d):
     assert d._mgf_minus_one(r) == pytest.approx(d.mgf(r) - 1.0, rel=1e-14, abs=1e-15)
 
 
+def test_tail_has_no_default_from_the_cdf():
+    # 1 - cdf(x) rounds to 0 where the ladder tail, the bounds and the cause
+    # split still need relative accuracy, so each family must give its own
+    assert "tail" in ruinkit.ClaimDistribution.__abstractmethods__
+
+
 class TestEquilibriumLaplace:
     def test_at_zero_exactly_one(self):
         for d in (Exponential(1.0), Gamma(2.0, 2.0), MixedExponential(MIX_WEIGHTS, MIX_RATES)):

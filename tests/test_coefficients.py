@@ -114,9 +114,15 @@ def test_result_diagnostics(exp_model):
 
 def test_root_solves_equation(gamma_model):
     res = adjustment_coefficient(gamma_model)
-    m = gamma_model
-    g = m.lam * (m.claims.mgf(res.R) - 1.0) - m.c * res.R + 0.5 * m.sigma**2 * res.R**2
-    assert g == pytest.approx(0.0, abs=1e-12)
+    # the Lundberg function lam (M(R) - 1) - c R + sigma^2 R^2 / 2
+    assert gamma_model.levy_exponent(-res.R) == pytest.approx(0.0, abs=1e-17)
+
+
+def test_residual_is_the_levy_exponent_at_the_root(exp_model, gamma_model, mix_model):
+    sigma_zero = PerturbedModel(Exponential(2.0), lam=1.0, sigma=0.0, loading=0.1)
+    for m in (exp_model, gamma_model, mix_model, sigma_zero):
+        res = adjustment_coefficient(m)
+        assert res.residual == abs(m.levy_exponent(-res.R))
 
 
 class TestLundbergBound:

@@ -5,10 +5,31 @@ cumulant function of the process increment (values frozen; see the
 docstring of PerturbedModel.central_moments for the nu4 convention).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from ruinkit import Exponential, Gamma, PerturbedModel, de_vylder_fit
+from ruinkit import Exponential, Gamma, PerturbedModel, adjustment_coefficient, de_vylder_fit
+
+FIXTURES = ("exp_model", "gamma_model", "mix_model")
+
+# E[e^{rL}] to 40 digits, rounded to double, on the exp_model and
+# gamma_model fixtures. Recipe (mpmath 1.3, mp.dps = 40), with c, lam and
+# sigma taken as the model's doubles:
+#   q = 1 - lam*mu1/c; tau = 2*c/sigma**2
+#   M_L(r) = q*r*tau*mu1 / (r*(tau - r)*mu1 + (q - 1)*tau*(M_X(r) - 1))
+# with M_X(r) - 1 = r/(1 - r) (Exp(1)) and (1 - r/2)**-2 - 1 (Gamma(2, 2)).
+MAX_LOSS_MGF_ORACLE = {
+    ("exp_model", 1e-9): 1.0000001500000226,
+    ("exp_model", -1e-9): 0.9999998500000226,
+    ("exp_model", 1e-6): 1.0001500226034057,
+    ("exp_model", -1e-6): 0.9998500225965954,
+    ("gamma_model", 1e-9): 1.0000001250000157,
+    ("gamma_model", -1e-9): 0.9999998750000156,
+    ("gamma_model", 1e-6): 1.0001250156769659,
+    ("gamma_model", -1e-6): 0.9998750156730346,
+}
 
 
 def test_premium_from_loading(exp_model):
@@ -98,6 +119,22 @@ def test_levy_exponent_drift_derivative(exp_model):
     assert d == pytest.approx(exp_model.c - exp_model.lam * 1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("s", [1e-9, -1e-9])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_levy_exponent_keeps_its_digits_near_zero(fixture, s, request):
+    # 1 - M(-s) would cancel to about 1e-5 relative at s = 1e-9
+    m = request.getfixturevalue(fixture)
+    mu1, mu2, mu3 = (m.claims.raw_moment(k) for k in (1, 2, 3))
+    series = (m.c - m.lam * mu1) * s + (m.lam * mu2 + m.sigma**2) * s * s / 2.0 - m.lam * mu3 * s**3 / 6.0
+    assert m.levy_exponent(s) == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
+def test_levy_exponent_outside_the_mgf_domain_raises(exp_model):
+    for s in (-1.0, -1.5, np.nan):
+        with pytest.raises(ValueError, match="levy_exponent argument"):
+            exp_model.levy_exponent(s)
+
+
 class TestRuinTransform:
     def test_small_s_limit_is_mean_max_loss(self, exp_model):
         # transform at the origin integrates the ruin curve: value E[L],
@@ -158,6 +195,40 @@ class TestMaxLossMgf:
 
     def test_negative_argument_fine(self, exp_model):
         assert 0.0 < exp_model.mgf_max_loss(-0.5) < 1.0
+
+    @pytest.mark.parametrize("fixture, r", sorted(MAX_LOSS_MGF_ORACLE))
+    def test_against_mpmath_near_zero(self, fixture, r, request):
+        m = request.getfixturevalue(fixture)
+        assert m.mgf_max_loss(r) == pytest.approx(MAX_LOSS_MGF_ORACLE[fixture, r], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-6])
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_above_one_for_positive_argument(self, fixture, r, request):
+        assert request.getfixturevalue(fixture).mgf_max_loss(r) > 1.0
+
+    @pytest.mark.parametrize("loading", [0.1, 1.0])
+    def test_sigma_zero_exponential_closed_form(self, loading):
+        # no diffusion, Exp(b) claims: L is 0 with probability q, else
+        # Exp(q b), so M_L(r) = q + (1 - q) q b / (q b - r) and R = q b
+        b = 2.0
+        m = PerturbedModel(Exponential(b), lam=1.0, sigma=0.0, loading=loading)
+        q = m.q
+        for r in (-1.0, -0.1, 1e-9, 0.1 * q * b, 0.5 * q * b, 0.9 * q * b, 0.99 * q * b):
+            expected = q + (1.0 - q) * q * b / (q * b - r)
+            assert m.mgf_max_loss(r) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [1.0, 1.5])
+    def test_raises_at_and_past_mgf_sup(self, exp_model, r):
+        with pytest.raises(ValueError, match="diverges"):
+            exp_model.mgf_max_loss(r)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_raises_at_the_adjustment_coefficient(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        R = adjustment_coefficient(m).R
+        for r in (R, math.nextafter(R, math.inf), 1.01 * R):
+            with pytest.raises(ValueError, match="diverges"):
+                m.mgf_max_loss(r)
 
 
 def test_mean_max_loss_values(exp_model, gamma_model, mix_model):
