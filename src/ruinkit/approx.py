@@ -1,20 +1,22 @@
 """Closed-form ruin approximations for the perturbed model.
 
-Five families:
+Every closed form here is a short exponential sum
+psi(u) ~ sum_k amp_k * exp(-rate_k * u), evaluated by one function
+(_exponential_sum). The families differ only in how they fit (amps, rates):
 
 * four-moment exponential fit (moment-matched single-exponential claim
-  model solved exactly by its two-exponential formula),
-* the exact two-term/multi-term exponential solution for mixed-exponential
-  claims (a companion-matrix root solve of the cleared characteristic
-  polynomial),
+  model solved exactly as a one-component mixture),
+* the exact exponential sum for mixed-exponential claims, whose rates are
+  the roots of the cleared characteristic polynomial (_mixture_modes, the
+  one mode solver, found as companion-matrix eigenvalues),
 * the two-moment exponential tail approximation,
 * transform-series exponential approximants of orders 3, 4, 5 built from
   the small-s expansion of the ruin transform,
 * a two-point rational (linear over quadratic) transform fit inverted in
   closed form.
 
-All approximants return plain floats or numpy arrays following the input
-shape of u.
+All approximants return a float for scalar or 0-d u and an array of u's
+shape otherwise.
 """
 
 from __future__ import annotations
@@ -46,8 +48,12 @@ class FitInfeasibleError(RuntimeError):
     """Moment fit produced parameters outside the model's domain."""
 
 
-def _as_given(values: np.ndarray, scalar_input: bool):
-    return float(values[()]) if scalar_input else values
+def _exponential_sum(amps, rates, u) -> float | np.ndarray:
+    """sum_k amps[k] * exp(-rates[k] * u): a float for scalar or 0-d u, an
+    array of u's shape otherwise."""
+    u_arr = np.asarray(u, dtype=float)
+    vals = sum(a * np.exp(-r * u_arr) for a, r in zip(amps, rates))
+    return float(vals) if u_arr.ndim == 0 else vals
 
 
 @dataclass(frozen=True)
@@ -78,24 +84,6 @@ class TwoPointPadeParams:
     eta: float
 
 
-def _two_exponential_modes(lam: float, c: float, sigma_sq: float, beta: float):
-    """Decay rates and amplitudes of the exact ruin probability for an
-    Exp(beta) claim model with diffusion variance sigma_sq > 0.
-
-    The rates solve sigma_sq*r^2 - (2c + beta*sigma_sq)*r + 2(c*beta - lam) = 0.
-    The discriminant equals (2c - beta*sigma_sq)^2 + 8*lam*sigma_sq > 0, so
-    the modes are always real; both rates are positive iff c > lam/beta.
-    """
-    disc = (2.0 * c - beta * sigma_sq) ** 2 + 8.0 * lam * sigma_sq
-    root = sqrt(disc)
-    mid = 2.0 * c + beta * sigma_sq
-    rate1 = (mid - root) / (2.0 * sigma_sq)
-    rate2 = (mid + root) / (2.0 * sigma_sq)
-    amp1 = (rate1 - beta) * rate2 / (beta * (rate1 - rate2))
-    amp2 = (rate2 - beta) * rate1 / (beta * (rate2 - rate1))
-    return rate1, rate2, amp1, amp2
-
-
 def de_vylder_fit(model: PerturbedModel) -> DeVylderParams:
     """Fit the four-parameter exponential-claim surrogate whose first four
     central surplus moments match the given model's.
@@ -117,7 +105,8 @@ def de_vylder_fit(model: PerturbedModel) -> DeVylderParams:
             f"fitted diffusion variance {sigma_star_sq:.6g} is not positive; "
             "the third/fourth claim moments absorb the full second moment"
         )
-    rate1, rate2, amp1, amp2 = _two_exponential_modes(lam_star, c_star, sigma_star_sq, beta)
+    rates, amps = _mixture_modes(lam_star, c_star, sigma_star_sq, (1.0,), (beta,))
+    (rate1, rate2), (amp1, amp2) = rates.tolist(), amps.tolist()
     return DeVylderParams(
         lam=lam_star,
         premium_rate=c_star,
@@ -132,24 +121,22 @@ def de_vylder_fit(model: PerturbedModel) -> DeVylderParams:
 
 def de_vylder_ruin(model: PerturbedModel, u) -> float | np.ndarray:
     p = de_vylder_fit(model)
-    u_arr = np.asarray(u, dtype=float)
-    vals = p.amp1 * np.exp(-p.rate1 * u_arr) + p.amp2 * np.exp(-p.rate2 * u_arr)
-    return _as_given(vals, u_arr.ndim == 0)
+    return _exponential_sum((p.amp1, p.amp2), (p.rate1, p.rate2), u)
 
 
-def _mixture_modes(lam: float, c: float, sigma: float, weights, rates):
+def _mixture_modes(lam: float, c: float, sigma_sq: float, weights, rates):
     """Roots and amplitudes of the exact ruin formula for mixed-exponential
-    claims: Psi(u) = sum_k amp_k * exp(-r_k u).
+    claims with diffusion variance sigma_sq: Psi(u) = sum_k amp_k * exp(-r_k u).
 
     The r_k are the n+1 roots of
 
-        2*lam * sum_j w_j prod_{k != j}(b_k - r) = (2c - sigma^2 r) prod_j(b_j - r)
+        2*lam * sum_j w_j prod_{k != j}(b_k - r) = (2c - sigma_sq r) prod_j(b_j - r)
 
     found as companion-matrix eigenvalues of the cleared polynomial. The
     amplitude formula assumes simple roots; complex, repeated, or
     nonpositive roots reject the closed-form path.
     """
-    if sigma <= 0.0:
+    if sigma_sq <= 0.0:
         raise ValueError("the closed form requires a diffusion term (sigma > 0)")
     w = np.asarray(weights, dtype=float)
     b = np.asarray(rates, dtype=float)
@@ -162,7 +149,7 @@ def _mixture_modes(lam: float, c: float, sigma: float, weights, rates):
         others = np.delete(b, j)
         lhs = np.polyadd(lhs, 2.0 * lam * w[j] * sign_partial * np.poly(others))
     full = (-1.0) ** n * np.poly(b)
-    rhs = np.polymul(np.array([-(sigma**2), 2.0 * c]), full)
+    rhs = np.polymul(np.array([-sigma_sq, 2.0 * c]), full)
     poly = np.polysub(lhs, rhs)
     roots = np.roots(poly)
 
@@ -187,10 +174,8 @@ def _mixture_modes(lam: float, c: float, sigma: float, weights, rates):
 def mixture_exact_ruin(lam: float, c: float, sigma: float, weights, rates, u) -> float | np.ndarray:
     """Exact ruin probability for mixed-exponential claims with diffusion,
     as a sum of n+1 decaying exponentials."""
-    r, amps = _mixture_modes(lam, c, sigma, weights, rates)
-    u_arr = np.asarray(u, dtype=float)
-    vals = np.exp(-np.multiply.outer(u_arr, r)) @ amps
-    return _as_given(vals, u_arr.ndim == 0)
+    r, amps = _mixture_modes(lam, c, sigma**2, weights, rates)
+    return _exponential_sum(amps, r, u)
 
 
 def renyi_approx(model: PerturbedModel, u) -> float | np.ndarray:
@@ -199,10 +184,7 @@ def renyi_approx(model: PerturbedModel, u) -> float | np.ndarray:
     q = model.q
     m2 = model.claims.raw_moment(2)
     m3 = model.claims.raw_moment(3)
-    rate = 3.0 * q * m2 / m3
-    u_arr = np.asarray(u, dtype=float)
-    vals = (1.0 - q) * np.exp(-rate * u_arr)
-    return _as_given(vals, u_arr.ndim == 0)
+    return _exponential_sum((1.0 - q,), (3.0 * q * m2 / m3,), u)
 
 
 def pkdv_coefficients(model: PerturbedModel, order: int, corrected: bool = False) -> tuple[float, float]:
@@ -239,9 +221,7 @@ def pkdv_coefficients(model: PerturbedModel, order: int, corrected: bool = False
 
 def pkdv_approx(model: PerturbedModel, order: int, u, corrected: bool = False) -> float | np.ndarray:
     amp, rate = pkdv_coefficients(model, order, corrected=corrected)
-    u_arr = np.asarray(u, dtype=float)
-    vals = amp * np.exp(-rate * u_arr)
-    return _as_given(vals, u_arr.ndim == 0)
+    return _exponential_sum((amp,), (rate,), u)
 
 
 def two_point_pade_params(model: PerturbedModel) -> TwoPointPadeParams:
@@ -278,13 +258,9 @@ def two_point_pade_params(model: PerturbedModel) -> TwoPointPadeParams:
 
 def two_point_pade(model: PerturbedModel, u) -> float | np.ndarray:
     """Two-point rational approximation, evaluated in the cancellation-free
-    split 0.5*(k1+k2)*exp((zeta-eta)u) + 0.5*(k1-k2)*exp(-(zeta+eta)u)."""
+    split 0.5*(k1+k2)*exp(-(eta-zeta)u) + 0.5*(k1-k2)*exp(-(eta+zeta)u)."""
     p = two_point_pade_params(model)
-    u_arr = np.asarray(u, dtype=float)
-    vals = 0.5 * (p.k1 + p.k2) * np.exp((p.zeta - p.eta) * u_arr) + 0.5 * (p.k1 - p.k2) * np.exp(
-        -(p.zeta + p.eta) * u_arr
-    )
-    return _as_given(vals, u_arr.ndim == 0)
+    return _exponential_sum((0.5 * (p.k1 + p.k2), 0.5 * (p.k1 - p.k2)), (p.eta - p.zeta, p.eta + p.zeta), u)
 
 
 def relative_error(approx_value, exact_value) -> float | np.ndarray:
@@ -294,5 +270,4 @@ def relative_error(approx_value, exact_value) -> float | np.ndarray:
     if np.any(e == 0.0):
         raise ValueError("relative error is undefined against an exact value of 0")
     vals = np.abs(1.0 - a / e)
-    scalar = a.ndim == 0 and e.ndim == 0
-    return _as_given(vals, scalar)
+    return float(vals) if a.ndim == 0 and e.ndim == 0 else vals

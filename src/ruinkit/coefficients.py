@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import _bisect
+from .approx import _exponential_sum
 from .model import PerturbedModel
 
 __all__ = [
@@ -81,9 +80,7 @@ def lundberg_bound(model: PerturbedModel, u, R: float | None = None):
     """Exponential upper bound e^{-R u} on the ultimate ruin probability."""
     if R is None:
         R = adjustment_coefficient(model).R
-    scalar = np.isscalar(u)
-    val = np.exp(-R * np.asarray(u, dtype=float))
-    return float(val) if scalar else val
+    return _exponential_sum((1.0,), (R,), u)
 
 
 def renyi_coefficient(model: PerturbedModel) -> float:

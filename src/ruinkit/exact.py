@@ -62,20 +62,18 @@ def exact_ruin(
     u,
     method: str = "talbot",
     degree: int | None = None,
-    check: bool = True,
 ):
     """Ultimate ruin probability Psi(u) by inversion of pk_transform.
 
-    u may be a scalar (returns a float) or an array (returns an array of its
-    shape). u = 0 is filled without inversion: exactly 1 when sigma > 0,
-    and 1 - q on the classical sigma = 0 pathway; every positive u goes
-    through one inversion call on the whole grid. Absolute accuracy target
-    is 1e-7 over u in [0, 100] (validated against the closed form available
-    for exponential claims). check=True recomputes at a higher quadrature
-    order and raises InversionError at the first u where the two disagree
-    beyond 1e-6 or either is not finite.
+    u may be a scalar or 0-d array (returns a float) or an array (returns an
+    array of its shape). u = 0 is filled without inversion: exactly 1 when
+    sigma > 0, and 1 - q on the classical sigma = 0 pathway; every positive
+    u goes through one inversion call on the whole grid. Absolute accuracy
+    target is 1e-7 over u in [0, 100] (validated against the closed form
+    available for exponential claims). Every call recomputes at a higher
+    quadrature order and raises InversionError at the first u where the two
+    disagree beyond 1e-6 or either is not finite.
     """
-    scalar = np.isscalar(u)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
         raise ValueError("u must be finite and nonnegative")
@@ -83,9 +81,9 @@ def exact_ruin(
     positive = u_arr > 0.0
     if np.any(positive):
         out[positive] = _inversion.invert(
-            model.pk_transform, u_arr[positive], method=method, degree=degree, check_tol=1e-6 if check else None
+            model.pk_transform, u_arr[positive], method=method, degree=degree, check_tol=1e-6
         )
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def decompose_ruin(

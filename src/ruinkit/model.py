@@ -155,13 +155,15 @@ class PerturbedModel:
         """MGF E[e^{rL}] of the maximal aggregate loss L = sup_t (loss process).
 
         1 + r Psi*(-r) for every sigma >= 0, since psi(u) = P(L > u); exactly
-        1 at r = 0. It is finite for r below the adjustment coefficient R,
-        where levy_exponent(-r) < 0, and a ValueError at or beyond R.
+        1 at r = 0. For r < 0 that sum cancels as s Psi*(s) -> 1, so it is
+        taken in the equal quotient -rho r / levy_exponent(-r) of positive
+        terms. It is finite for r below the adjustment coefficient R, where
+        levy_exponent(-r) < 0, and a ValueError at or beyond R.
         """
         if r == 0.0:
             return 1.0
         if r < 0.0:
-            return 1.0 + r * self.pk_transform(-r)
+            return -self.rho * r / self.levy_exponent(-r)
         # R is where levy_exponent(-r) turns positive; the pole of Psi*(-r)
         # lies within a few ulp of it, on either side, so the value is checked too
         if r < self.claims.mgf_sup and self.levy_exponent(-r) < 0.0:

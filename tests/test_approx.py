@@ -9,6 +9,7 @@ from ruinkit import (
     PerturbedModel,
     de_vylder_fit,
     de_vylder_ruin,
+    lundberg_bound,
     mixture_exact_ruin,
     pkdv_approx,
     pkdv_coefficients,
@@ -24,6 +25,20 @@ from conftest import MIX_RATES, MIX_WEIGHTS
 
 U11 = np.array(ref.U11)
 U10 = np.array(ref.U10)
+
+# Decay rates (rate1, rate2) of the De Vylder surrogate for Exp(rate)
+# claims, lam=1, keyed by (rate, sigma, theta): 50-digit roots of the
+# surrogate's own quadratic, rounded to double. Recipe (mpmath 1.3,
+# mp.dps = 50), with f = de_vylder_fit(model) and its fields taken as doubles:
+#   sigma_sq*r^2 - (2c + beta*sigma_sq)*r + 2(c*beta - lam) = 0
+# for sigma_sq = f.sigma_sq, c = f.premium_rate, beta = f.claim_rate,
+# lam = f.lam, solved with mp.sqrt of the discriminant.
+DE_VYLDER_RATES = {
+    (0.5, 0.1, 0.001): (0.0004988781463691268, 400.8995011218535),
+    (0.5, 0.1, 0.01): (0.004944436211247093, 404.4950555637887),
+    (1.0, 0.1, 0.001): (0.0009940406964059846, 201.19900595930352),
+    (1.0, 0.1, 0.01): (0.009852694953684, 202.9901473050463),
+}
 
 
 class TestDeVylderFit:
@@ -51,6 +66,15 @@ class TestDeVylderFit:
         assert f.claim_rate == pytest.approx(0.014797486311928083, rel=1e-10)
         assert f.sigma_sq == pytest.approx(6.132950451577841, rel=1e-10)
         assert f.rate1 == pytest.approx(0.00044084767810008906, rel=1e-10)
+
+    @pytest.mark.parametrize("rate, sigma, theta", sorted(DE_VYLDER_RATES))
+    def test_rates_against_50_digit_roots(self, rate, sigma, theta):
+        # small sigma and light loading put rate1 far below rate2, where the
+        # closed quadratic formula cancels; the companion eigenvalues do not
+        f = de_vylder_fit(PerturbedModel(Exponential(rate), lam=1.0, sigma=sigma, loading=theta))
+        rate1, rate2 = DE_VYLDER_RATES[rate, sigma, theta]
+        assert f.rate1 == pytest.approx(rate1, rel=1e-12, abs=0.0)
+        assert f.rate2 == pytest.approx(rate2, rel=1e-12, abs=0.0)
 
     def test_amplitudes_sum_to_one(self, gamma_model, mix_model):
         for m in (gamma_model, mix_model):
@@ -195,6 +219,33 @@ class TestTwoPointPade:
         m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.1)
         with pytest.raises(ValueError, match="sigma"):
             two_point_pade(m, 1.0)
+
+
+CLOSED_FORMS = {
+    "de_vylder_ruin": de_vylder_ruin,
+    "renyi_approx": renyi_approx,
+    "pkdv3": lambda m, u: pkdv_approx(m, 3, u),
+    "pkdv4": lambda m, u: pkdv_approx(m, 4, u),
+    "pkdv5": lambda m, u: pkdv_approx(m, 5, u),
+    "two_point_pade": two_point_pade,
+    "mixture_exact_ruin": lambda m, u: mixture_exact_ruin(m.lam, m.c, m.sigma, MIX_WEIGHTS, MIX_RATES, u),
+    "lundberg_bound": lundberg_bound,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_follows_the_shape_of_u(name, mix_model):
+    # every closed form is one exponential sum: a float for scalar or 0-d u,
+    # u's shape for a grid, and the same values as point by point
+    curve = CLOSED_FORMS[name]
+    for u in (2.0, np.array(2.0)):
+        assert type(curve(mix_model, u)) is float
+    grid = np.array([[0.0, 0.5, 2.0], [5.0, 50.0, 500.0]])
+    pointwise = np.array([[curve(mix_model, x) for x in row] for row in grid.tolist()])
+    for u in (grid, grid.ravel()):
+        got = curve(mix_model, u)
+        assert isinstance(got, np.ndarray) and got.shape == u.shape
+        np.testing.assert_array_equal(got, pointwise.reshape(u.shape))
 
 
 def test_relative_error():

@@ -3,6 +3,9 @@ exit codes, config layering, and byte-level determinism."""
 
 import csv
 import io
+import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ MIX_MODEL = (
 )
 HEAVY_MODEL = "lambda=1,theta=1,sigma=1,claims=exp:rate=1"
 CLASSICAL_MODEL = "lambda=1,theta=0.1,sigma=0,claims=exp:rate=1"
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(argv, capsys):
@@ -181,6 +186,26 @@ def test_precision_flag(capsys):
     assert rc == 0
     _, rows = parse_csv(out)
     assert rows[0] == ["1.000", f"{exact_ruin(parse_model(EXP_MODEL), 1.0):.3f}"]
+
+
+def _closed_form_jobs():
+    """The approx.* and table.* jobs of the benchmark's tables workload, read
+    from perfbench/jobs.py, with the stdout frozen for each."""
+    jobs_for = runpy.run_path(str(PERFBENCH / "jobs.py"))["jobs_for"]
+    frozen = json.loads((PERFBENCH / "reference" / "tables.json").read_text())
+    # coef.* is left out: its residual cell is the root finder's noise
+    return [
+        pytest.param(job.argv, frozen[job.name], id=job.name)
+        for job in jobs_for("tables", 0)
+        if job.name.startswith(("approx.", "table."))
+    ]
+
+
+@pytest.mark.parametrize("argv, frozen", _closed_form_jobs())
+def test_closed_form_jobs_print_the_frozen_bytes(argv, frozen, capsys):
+    rc, out, _ = run_cli(list(argv), capsys)
+    assert rc == 0
+    assert out == frozen
 
 
 # ---------------------------------------------------------------------------

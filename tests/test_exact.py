@@ -84,6 +84,11 @@ def test_array_input(exp_model):
     grid = exact_ruin(exp_model, np.array([[1.0, 0.0], [10.0, 0.0]]))
     assert grid.shape == (2, 2)
     np.testing.assert_array_equal(grid, [[vals[1], 1.0], [vals[2], 1.0]])
+    # a 0-d array is a scalar u: a float comes back, as for a python float
+    for u0, expected in ((0.0, 1.0), (1.0, vals[1])):
+        value = exact_ruin(exp_model, np.array(u0))
+        assert type(value) is float
+        assert value == expected
 
 
 @pytest.mark.parametrize("method, degree, atol", [("talbot", None, 1e-14), ("talbot", 33, 1e-14), ("euler", None, 1e-8)])

@@ -31,6 +31,30 @@ MAX_LOSS_MGF_ORACLE = {
     ("gamma_model", -1e-6): 0.9998750156730346,
 }
 
+# E[e^{rL}] at r < 0 to 40 digits, rounded to double, on the three fixtures.
+# Recipe (mpmath 1.3, mp.dps = 40), with c, lam, sigma and the claim
+# parameters taken as the model's doubles, s = -r:
+#   M_L(r) = (c - lam*mu) * s / (c*s + lam*(M_X(-s) - 1) + sigma**2 * s**2 / 2)
+# with M_X(-s) - 1 = -s/(1 + s) (Exp(1)), (1 + s/2)**-2 - 1 (Gamma(2, 2)) and,
+# reading the mixture weights as a law, sum w*(-s)/(b + s) with mu = sum w/b.
+MAX_LOSS_MGF_NEGATIVE = {
+    ("exp_model", -1e8): 1.999999959600003e-10,
+    ("exp_model", -1e3): 1.9959721242652783e-05,
+    ("exp_model", -10.0): 0.0016894486254031653,
+    ("exp_model", -1e-3): 0.869640762781808,
+    ("exp_model", -1e-6): 0.9998500225965954,
+    ("gamma_model", -1e8): 1.999999959600003e-10,
+    ("gamma_model", -1e3): 1.995972128229331e-05,
+    ("gamma_model", -10.0): 0.0016912524664098483,
+    ("gamma_model", -1e-3): 0.8889283721388916,
+    ("gamma_model", -1e-6): 0.9998750156730346,
+    ("mix_model", -1e8): 1.9999953517748422e-10,
+    ("mix_model", -1e3): 1.9959675194821955e-05,
+    ("mix_model", -10.0): 0.0016829964362824125,
+    ("mix_model", -1e-3): 0.3236843633179688,
+    ("mix_model", -1e-6): 0.9977950871680612,
+}
+
 
 def test_premium_from_loading(exp_model):
     assert exp_model.c == pytest.approx(1.01, rel=1e-15)
@@ -200,6 +224,13 @@ class TestMaxLossMgf:
     def test_against_mpmath_near_zero(self, fixture, r, request):
         m = request.getfixturevalue(fixture)
         assert m.mgf_max_loss(r) == pytest.approx(MAX_LOSS_MGF_ORACLE[fixture, r], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fixture, r", sorted(MAX_LOSS_MGF_NEGATIVE))
+    def test_against_mpmath_for_negative_argument(self, fixture, r, request):
+        # 1 + r*Psi*(-r) cancels at both ends of r < 0 (to 1e-7 at r = -1e8,
+        # to 8e-9 on the mixture at r = -1e-6); the quotient does not
+        m = request.getfixturevalue(fixture)
+        assert m.mgf_max_loss(r) == pytest.approx(MAX_LOSS_MGF_NEGATIVE[fixture, r], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("r", [1e-9, 1e-6])
     @pytest.mark.parametrize("fixture", FIXTURES)
