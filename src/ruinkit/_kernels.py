@@ -36,11 +36,25 @@ dropped with it, so every path reads exactly its own stream; the live lanes
 are compacted once per event. Gamma claims keep a per-lane rejection loop on
 the same states. No draw depends on how lanes are batched or the order
 paths run in, so the output is a pure function of the arguments.
+
+That also makes the paths free to split across CPUs (Salmon et al. 2011;
+Steele, Lea & Flood 2014). mc_ruin_paths cuts the path range into one share
+per CPU the process may run on, each of at least 2 * _FLOOR paths, and builds
+each share's lanes from its own index range. Shares 1..k-1 run in threads
+and share 0 on the calling thread; numpy releases the GIL inside each call.
+A share stops once it has _FLOOR live lanes or fewer: a call on a few
+thousand lanes lasts microseconds, and two threads would spend that time
+handing the GIL back and forth (finishing each share in its thread made a
+long light-loading run about 35% slower). The survivors of every share are
+joined in share order and finished serially by the same event loop,
+_advance. With one share this is the serial loop itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -229,8 +243,8 @@ def _uniforms(state, m):
     of lane i is from state[i] + j GOLDEN. The caller advances the state."""
     z = _mix(state + _STRIDE[:m, None])
     z >>= _SH11
-    u = z.view(np.int64).astype(np.float64)  # below 2^53: exact
-    u += 1.0
+    # converted in place, below 2^53 exactly: no second (m, n) block
+    u = np.add(z.view(np.int64), 1.0, out=z.view(np.float64))
     u *= _INV53
     return u
 
@@ -287,6 +301,89 @@ def _block_claim(u, family, fp):
 # event-driven Monte Carlo, all live paths advanced one event at a time
 # ---------------------------------------------------------------------------
 
+# live lanes per share below which threads stop: a numpy call on fewer lanes
+# lasts a few microseconds, and two threads would mostly trade the GIL
+_FLOOR = 8192
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _advance(state, v, t, c, lam, sigma, horizon, family, fp, floor):
+    """Run events while more than floor lanes are live; returns (n_osc,
+    n_claim, state, v, t) with the counts of this call and the live lanes."""
+    sig2 = sigma * sigma
+    # the event's fixed draws: wait, then Box-Muller pair and bridge, then claim
+    j_claim = 4 if sigma > 0.0 else 1
+    m = j_claim + (1, 0, 2)[family]
+    n_osc = 0
+    n_claim = 0
+    # a wait overflows to inf when lam is tiny, which is harmless. The error
+    # state is set here because a thread does not inherit the caller's, and
+    # not by a decorator, whose wrapper would hold the first event's lanes
+    with np.errstate(over="ignore"):
+        while state.size > floor:
+            # the block's rows are consumed in place; the in-place steps only swap
+            # the operands of + and * or move a sign, so each value is bitwise
+            # the one-path-at-a-time value
+            u = _uniforms(state, m)
+            state += _STRIDE[m]
+            e = np.log(u[0], out=u[0])
+            e /= -lam
+            t_next = t + e
+            final_seg = t_next > horizon
+            dt = np.subtract(horizon, t, out=e, where=final_seg)
+            v1 = dt * c
+            v1 += v
+            if sigma > 0.0:
+                z = np.log(u[1], out=u[1])
+                z *= -2.0
+                np.sqrt(z, out=z)
+                w = np.multiply(u[2], 2.0 * np.pi, out=u[2])
+                z *= np.cos(w, out=w)
+                z *= np.sqrt(dt) * sigma
+                v1 += z
+                hit = v1 <= 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cross = v * -2.0
+                    cross *= v1
+                    cross /= dt * sig2
+                    np.exp(cross, out=cross)
+                hit |= (u[3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
+                n_osc += int(np.count_nonzero(hit))
+                claim = ~(hit | final_seg)
+            else:
+                claim = ~final_seg
+            # lanes censored at the horizon or hit discard their claim draws
+            if family == 1:
+                s = state[claim]
+                v1[claim] -= _gamma_claim(s, fp[0], fp[1])
+                state[claim] = s
+            else:
+                v1 -= _block_claim(u[j_claim:], family, fp)
+            live = v1 > 0.0
+            live &= claim
+            n_claim += int(np.count_nonzero(claim)) - int(np.count_nonzero(live))
+            state = state[live]
+            v = v1[live]
+            t = t_next[live]
+    return n_osc, n_claim, state, v, t
+
+
+def _share(base, a, b, u0, floor, c, lam, sigma, horizon, family, fp):
+    """Paths a..b-1 (keys a+1..b) from their start down to floor live lanes."""
+    # the lanes are built in the call, so no frame here keeps them alive
+    return _advance(
+        _mix(base + np.arange(a + 1, b + 1, dtype=np.uint64) * _GOLDEN) + _GOLDEN,
+        np.full(b - a, float(u0)),
+        np.zeros(b - a),
+        c, lam, sigma, horizon, family, fp, floor,
+    )
+
 
 @np.errstate(over="ignore")  # uint64 wraparound is the point
 def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
@@ -294,62 +391,36 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
 
     seed must lie in [0, 2**64).
     """
-    fp = np.ascontiguousarray(fparams, dtype=np.float64)
+    model = (c, lam, sigma, horizon, family, np.ascontiguousarray(fparams, dtype=np.float64))
     # avalanche the seed before deriving path keys: mixing both linearly
     # through the same multiplier would alias (seed, p) with (seed+1, p-1)
     base = _mix(_SEED_SALT + (np.uint64(seed) + _ONE) * _GOLDEN)
-    state = _mix(base + np.arange(1, n_paths + 1, dtype=np.uint64) * _GOLDEN) + _GOLDEN
-    t = np.zeros(n_paths)
-    v = np.full(n_paths, float(u0))
-    sig2 = sigma * sigma
-    # the event's fixed draws: wait, then Box-Muller pair and bridge, then claim
-    j_claim = 4 if sigma > 0.0 else 1
-    m = j_claim + (1, 0, 2)[family]
-    n_osc = 0
-    n_claim = 0
-    while state.size:
-        # the block's rows are consumed in place; the in-place steps only swap
-        # the operands of + and * or move a sign, so each value is bitwise
-        # the one-path-at-a-time value
-        u = _uniforms(state, m)
-        state += _STRIDE[m]
-        e = np.log(u[0], out=u[0])
-        e /= -lam
-        t_next = t + e
-        final_seg = t_next > horizon
-        dt = np.subtract(horizon, t, out=e, where=final_seg)
-        v1 = dt * c
-        v1 += v
-        if sigma > 0.0:
-            z = np.log(u[1], out=u[1])
-            z *= -2.0
-            np.sqrt(z, out=z)
-            w = np.multiply(u[2], 2.0 * np.pi, out=u[2])
-            z *= np.cos(w, out=w)
-            z *= np.sqrt(dt) * sigma
-            v1 += z
-            hit = v1 <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = v * -2.0
-                cross *= v1
-                cross /= dt * sig2
-                np.exp(cross, out=cross)
-            hit |= (u[3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
-            n_osc += int(np.count_nonzero(hit))
-            claim = ~(hit | final_seg)
-        else:
-            claim = ~final_seg
-        # lanes censored at the horizon or hit discard their claim draws
-        if family == 1:
-            s = state[claim]
-            v1[claim] -= _gamma_claim(s, fp[0], fp[1])
-            state[claim] = s
-        else:
-            v1 -= _block_claim(u[j_claim:], family, fp)
-        live = v1 > 0.0
-        live &= claim
-        n_claim += int(np.count_nonzero(claim)) - int(np.count_nonzero(live))
-        state = state[live]
-        v = v1[live]
-        t = t_next[live]
-    return n_osc, n_claim
+    k = max(1, min(_cpu_count(), n_paths // (2 * _FLOOR)))
+    if k == 1:
+        return _share(base, 0, n_paths, u0, 0, *model)[:2]
+    edges = [n_paths * i // k for i in range(k + 1)]
+    out = [None] * k
+
+    def run(i):
+        try:
+            out[i] = _share(base, edges[i], edges[i + 1], u0, _FLOOR, *model)
+        except BaseException as exc:  # raised again in the caller
+            out[i] = exc
+
+    started = []
+    try:
+        for i in range(1, k):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for res in out:
+        if isinstance(res, BaseException):
+            raise res
+    # the survivors of every share, in share order, finish on this thread
+    lanes = (np.concatenate(x) for x in zip(*(res[2:] for res in out)))
+    n_osc, n_claim = _advance(*lanes, *model, 0)[:2]
+    return n_osc + sum(res[0] for res in out), n_claim + sum(res[1] for res in out)

@@ -4,7 +4,9 @@ Paths are simulated claim to claim with no time discretization: diffusion
 ruin between events is decided by the exact Brownian-bridge crossing
 probability, so the only systematic error is the finite horizon, which can
 only undercount ruin. Per-path counter-based RNG substreams make the result
-a pure function of (seed, n_paths) no matter how paths are scheduled.
+a pure function of (seed, n_paths) no matter how paths are scheduled: in
+batches, in threads (the kernel runs one share of the paths per CPU), or on
+one CPU.
 """
 
 from __future__ import annotations

@@ -208,6 +208,31 @@ def test_closed_form_jobs_print_the_frozen_bytes(argv, frozen, capsys):
     assert out == frozen
 
 
+# stdout of three theta=1 simulate jobs of the benchmark at seed 1, frozen from
+# the serial path loop; 1e5 paths is enough for the loop to run in threads
+SIMULATE_BYTES = {
+    "sim.exp.theta1": "0.405820,0.001553,30738,9844\n",
+    "sim.gamma0.5.theta1": "0.424260,0.001563,34227,8199\n",
+    "sim.mix.theta1": "0.394440,0.001546,35039,4405\n",
+}
+
+
+def _simulate_jobs():
+    jobs_for = runpy.run_path(str(PERFBENCH / "jobs.py"))["jobs_for"]
+    return [
+        pytest.param(job.argv, SIMULATE_BYTES[job.name], id=job.name)
+        for job in jobs_for("simulate", 1)
+        if job.name in SIMULATE_BYTES
+    ]
+
+
+@pytest.mark.parametrize("argv, row", _simulate_jobs())
+def test_simulate_jobs_print_the_frozen_bytes(argv, row, capsys):
+    rc, out, _ = run_cli(list(argv), capsys)
+    assert rc == 0
+    assert out == "ruin_freq,std_err,by_claim,by_oscillation\n" + row
+
+
 # ---------------------------------------------------------------------------
 # NA sentinel and warnings
 # ---------------------------------------------------------------------------

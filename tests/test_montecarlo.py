@@ -5,6 +5,9 @@ horizon, so a fixed seed gives a deterministic, already-verified outcome;
 the frozen counts double as regression pins on the bit-exact stream.
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from ruinkit import (
     decompose_ruin,
     simulate_ruin,
 )
+from ruinkit import _kernels
 from ruinkit.montecarlo import mc_ruin_paths
 
 from _reference_kernels import _mc_ruin_paths_py
@@ -151,6 +155,64 @@ def _oracle_case(sampler, seed, n_paths, sigma, horizon):
 def test_every_sampler_matches_the_oracle(sampler, seed, sigma, horizon, counts):
     args = _oracle_case(sampler, seed, 3000, sigma, horizon)
     assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == counts
+
+
+def _serial_counts(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
+    # every lane built as one array from its path key, then one _advance
+    # with no floor: the path loop as it runs on one CPU
+    with np.errstate(over="ignore"):
+        base = _kernels._mix(_kernels._SEED_SALT + (np.uint64(seed) + np.uint64(1)) * _kernels._GOLDEN)
+        keys = base + np.arange(1, n_paths + 1, dtype=np.uint64) * _kernels._GOLDEN
+    state = _kernels._mix(keys) + _kernels._GOLDEN
+    lanes = (state, np.full(n_paths, u0), np.zeros(n_paths))
+    return _kernels._advance(*lanes, c, lam, sigma, horizon, family, fparams, 0)[:2]
+
+
+@pytest.mark.parametrize(
+    "sampler, sigma", [("exp", 1.0), ("exp", 0.0), ("gamma0.5", 1.0), ("mixture", 1.0)]
+)
+def test_counts_do_not_depend_on_the_cpu_count(sampler, sigma, monkeypatch):
+    # 50k paths make three shares of more than twice the floor each, so the
+    # threaded path runs whatever the machine; gamma0.5 runs its per-lane
+    # rejection loop inside each share
+    args = _oracle_case(sampler, 5, 50_000, sigma, 2.0)
+    counts = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
+        counts.append(mc_ruin_paths(*args))
+    assert counts[0] == counts[1] == counts[2] == _serial_counts(*args)
+    assert counts[0][1] > 0
+
+
+@pytest.mark.parametrize("failing_share", [0, 1])
+def test_a_failing_share_raises_in_the_caller(failing_share, monkeypatch):
+    advance = _kernels._advance
+
+    def failing(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if args[-1] > 0 and on_caller == (failing_share == 0):
+            raise RuntimeError(f"share {failing_share} failed")
+        return advance(*args)
+
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_advance", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"share {failing_share} failed"):
+        mc_ruin_paths(*_oracle_case("exp", 5, 50_000, 1.0, 2.0))
+    assert threading.active_count() == before
+
+
+def test_threaded_shares_raise_no_numpy_warning(monkeypatch):
+    # numpy's error state does not pass to a new thread; at lam = 1e-308 the
+    # first wait overflows to inf in every lane of every share, and every
+    # path is censored at the horizon after its diffusion
+    monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
+    args = (5, 50_000, 1.0, 2.0, 1e-308, 1.0, 2.0, 0, np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = mc_ruin_paths(*args)
+    assert counts == _serial_counts(*args)
+    assert counts[0] > 0 and counts[1] == 0
 
 
 @pytest.mark.parametrize(
