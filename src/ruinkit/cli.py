@@ -173,8 +173,8 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
     return columns
 
 
-def _emit(header: list[str], rows: list[list[str]], out_path: str | None) -> None:
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+def _emit(header: list[str], lines: list[str], out_path: str | None) -> None:
+    text = "\n".join([",".join(header), *lines]) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -183,11 +183,33 @@ def _emit(header: list[str], rows: list[list[str]], out_path: str | None) -> Non
 
 
 def _emit_grid(args, header: list[str], u, columns) -> None:
-    """One CSV row per grid point: u, then each column's value there (a
-    column of None is all NA)."""
+    """One CSV row per grid point: u, then each column's value there, in
+    fixed point with --precision decimals (a column of None is all NA).
+
+    Each column is turned into python floats once, and each row is one `%`
+    on a row template: `%.{p}f` per numeric column, the literal NA per None
+    column ("%.6f" % x and f"{x:.6f}" are the same float-to-string routine).
+    Two kinds of row go cell by cell through _fmt_u/_fmt instead, so the NA
+    and tiny-u rules live there alone: a row holding a non-finite value, and
+    a row with 0 < u < 10**-p, the only u that fixed point can print as 0.
+    """
     p = args.precision
-    rows = [[_fmt_u(x, p)] + [_fmt(None if col is None else col[i], p) for col in columns] for i, x in enumerate(u)]
-    _emit(header, rows, args.out)
+    u = np.asarray(u, dtype=float)
+    by_cell = (u > 0.0) & (u < 10.0**-p)  # u itself is finite: the grids are checked
+    cells = []
+    for col in columns:
+        if col is None:
+            cells.append(None)
+        else:
+            values = np.asarray(col, dtype=float)
+            by_cell |= ~np.isfinite(values)
+            cells.append(values.tolist())
+    template = ",".join([f"%.{p}f"] + ["NA" if c is None else f"%.{p}f" for c in cells])
+    u_cells = u.tolist()
+    lines = list(map(template.__mod__, zip(u_cells, *(c for c in cells if c is not None))))
+    for i in np.flatnonzero(by_cell).tolist():
+        lines[i] = ",".join([_fmt_u(u_cells[i], p)] + [_fmt(None if c is None else c[i], p) for c in cells])
+    _emit(header, lines, args.out)
 
 
 def _fmt_u(x, places: int) -> str:
@@ -255,7 +277,7 @@ def _cmd_coef(args, model, warnings):
         f"{res.bracket[1]:.{p}g}",
         f"{res.residual:.{p}g}",
     ]
-    _emit(["R", "R0", "bracket_lo", "bracket_hi", "residual"], [row], args.out)
+    _emit(["R", "R0", "bracket_lo", "bracket_hi", "residual"], [",".join(row)], args.out)
 
 
 def _cmd_decompose(args, model, warnings):
@@ -279,7 +301,7 @@ def _cmd_simulate(args, model, warnings):
         str(est.n_ruined_by_claim),
         str(est.n_ruined_by_oscillation),
     ]
-    _emit(["ruin_freq", "std_err", "by_claim", "by_oscillation"], [row], args.out)
+    _emit(["ruin_freq", "std_err", "by_claim", "by_oscillation"], [",".join(row)], args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,12 @@ def exact_ruin(
 
     u may be a scalar or 0-d array (returns a float) or an array (returns an
     array of its shape). u = 0 is filled without inversion: exactly 1 when
-    sigma > 0, and 1 - q on the classical sigma = 0 pathway; every positive
-    u goes through one inversion call on the whole grid. Absolute accuracy
-    target is 1e-7 over u in [0, 100] (validated against the closed form
-    available for exponential claims). Every call recomputes at a higher
+    sigma > 0, and 1 - q on the classical sigma = 0 pathway. With sigma > 0,
+    every u with tau*q*u < 2**-54 is filled with 1 too, the value that
+    psi(u) = 1 - tau*q*u + O(u^2) rounds to. Every other u goes through one
+    inversion call on the whole grid. Absolute accuracy target is 1e-7 over
+    u in [0, 100] (validated against the closed form available for
+    exponential claims). Every call recomputes at a higher
     quadrature order and raises InversionError at the first u where the two
     disagree beyond 1e-6 or either is not finite.
     """
@@ -78,10 +80,17 @@ def exact_ruin(
     if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
         raise ValueError("u must be finite and nonnegative")
     out = np.full(u_arr.shape, 1.0 if model.sigma > 0.0 else 1.0 - model.q)
-    positive = u_arr > 0.0
-    if np.any(positive):
-        out[positive] = _inversion.invert(
-            model.pk_transform, u_arr[positive], method=method, degree=degree, check_tol=1e-6
+    by_inversion = u_arr > 0.0
+    if model.sigma > 0.0:
+        # psi(u) = 1 - tau*q*u + O(u^2), as s(s Psi*(s) - 1) -> -tau*q, so
+        # psi rounds to 1 below tau*q*u = 2**-54; inverting there fails from
+        # u near 1e-152, whose contour (|s| near 2M/(5u)) overflows the
+        # transform's denominator
+        with np.errstate(over="ignore"):
+            by_inversion &= model.tau * model.q * u_arr >= 2.0**-54
+    if np.any(by_inversion):
+        out[by_inversion] = _inversion.invert(
+            model.pk_transform, u_arr[by_inversion], method=method, degree=degree, check_tol=1e-6
         )
     return float(out[0]) if np.ndim(u) == 0 else out
 

@@ -6,12 +6,15 @@ import io
 import json
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import _reference_values as ref
+import _reference_writer
 from ruinkit import exact_ruin
-from ruinkit.cli import main, parse_claims, parse_model
+from ruinkit.cli import _emit_grid, main, parse_claims, parse_model
 
 EXP_MODEL = "lambda=1,theta=0.01,sigma=1,claims=exp:rate=1"
 GAMMA_MODEL = "lambda=1,theta=0.01,sigma=1,claims=gamma:shape=2,rate=2"
@@ -188,21 +191,32 @@ def test_precision_flag(capsys):
     assert rows[0] == ["1.000", f"{exact_ruin(parse_model(EXP_MODEL), 1.0):.3f}"]
 
 
-def _closed_form_jobs():
-    """The approx.* and table.* jobs of the benchmark's tables workload, read
-    from perfbench/jobs.py, with the stdout frozen for each."""
+def _frozen_jobs(workload, prefixes=("",)):
+    """The jobs of a benchmark workload whose names start with one of the
+    prefixes, read from perfbench/jobs.py, with the stdout frozen for each."""
     jobs_for = runpy.run_path(str(PERFBENCH / "jobs.py"))["jobs_for"]
-    frozen = json.loads((PERFBENCH / "reference" / "tables.json").read_text())
-    # coef.* is left out: its residual cell is the root finder's noise
+    frozen = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())
     return [
         pytest.param(job.argv, frozen[job.name], id=job.name)
-        for job in jobs_for("tables", 0)
-        if job.name.startswith(("approx.", "table."))
+        for job in jobs_for(workload, 0)
+        if job.name.startswith(prefixes)
     ]
 
 
-@pytest.mark.parametrize("argv, frozen", _closed_form_jobs())
+@pytest.mark.parametrize("argv, frozen", _frozen_jobs("tables", ("approx.", "table.")))
 def test_closed_form_jobs_print_the_frozen_bytes(argv, frozen, capsys):
+    rc, out, _ = run_cli(list(argv), capsys)
+    assert rc == 0
+    assert out == frozen
+
+
+# every other grid job of the benchmark; coef.* is left out, as its residual
+# cell is the root finder's noise
+@pytest.mark.parametrize(
+    "argv, frozen",
+    _frozen_jobs("tables", ("errors.", "exact.")) + _frozen_jobs("lattice") + _frozen_jobs("gamma_ladder"),
+)
+def test_grid_jobs_print_the_frozen_bytes(argv, frozen, capsys):
     rc, out, _ = run_cli(list(argv), capsys)
     assert rc == 0
     assert out == frozen
@@ -255,19 +269,39 @@ def test_infeasible_methods_emit_na_and_warn(capsys):
 
 
 def test_nan_exact_value_is_a_failure_not_na(capsys):
-    # the transform overflows at u = 1e-200: exact fails with exit 2, and
-    # table turns the exact column into NA with a warning
-    model_u = ["--model", EXP_MODEL, "--u", "1e-200,1"]
+    # sigma = 1e-150 puts tau near 2e300, so the transform overflows at
+    # u = 1e-100: exact fails with exit 2, and table turns the exact column
+    # into NA with a warning
+    model = "lambda=1,theta=0.01,sigma=1e-150,claims=exp:rate=1"
+    model_u = ["--model", model, "--u", "1e-100,1"]
     rc, out, err = run_cli(["exact", *model_u], capsys)
     assert rc == 2
     assert out == ""
-    assert "numerical failure: talbot orders 24/33 disagree at t=1e-200: nan vs nan" in err
+    assert "numerical failure: talbot orders 24/33 disagree at t=1e-100: nan vs nan" in err
     rc, out, err = run_cli(["table", *model_u, "--methods", "exact,4me"], capsys)
     assert rc == 0
     _, rows = parse_csv(out)
     assert [row[1] for row in rows] == ["NA", "NA"]
-    assert float(rows[1][2]) == pytest.approx(0.989188, abs=1e-6)
-    assert "warning: method exact infeasible: talbot orders 24/33 disagree at t=1e-200" in err
+    assert float(rows[1][2]) == pytest.approx(0.980344, abs=1e-6)
+    assert "warning: method exact infeasible: talbot orders 24/33 disagree at t=1e-100" in err
+
+
+def test_tiny_u_keeps_the_exact_column(capsys):
+    # psi(1e-200) rounds to 1, which is filled without inversion, so one tiny
+    # u no longer turns the whole exact column into NA
+    model_u = ["--model", EXP_MODEL, "--u", "1e-200,1"]
+    one = f"{ref.TABLE_EXP['exact'][3]:.6f}"
+    rc, out, err = run_cli(["exact", *model_u], capsys)
+    assert (rc, err) == (0, "")
+    assert out == f"u,psi\n1e-200,1.000000\n1.000000,{one}\n"
+    rc, out, err = run_cli(["table", *model_u, "--methods", "exact,4me"], capsys)
+    assert (rc, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows] == ["1.000000", one]
+    rc, out, err = run_cli(["errors", *model_u, "--methods", "4me"], capsys)
+    assert (rc, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert float(rows[0][1]) < 1e-6
 
 
 def test_tiny_u_does_not_print_as_zero(capsys):
@@ -468,3 +502,68 @@ def test_csv_round_trip_reformat_is_identity(capsys):
     for row in rows:
         rebuilt.append(",".join(f"{float(c):.6f}" for c in row))
     assert "\n".join(rebuilt) + "\n" == out
+
+
+# ---------------------------------------------------------------------------
+# the grid writer against the per-cell oracle
+# ---------------------------------------------------------------------------
+
+
+def _write_grid(capsys, header, u, columns, places, out=None):
+    _emit_grid(SimpleNamespace(precision=places, out=out), header, u, columns)
+    return capsys.readouterr().out
+
+
+def _assert_writer_matches_oracle(capsys, u, columns, places):
+    header = ["u"] + [f"c{k}" for k in range(len(columns))]
+    text = _write_grid(capsys, header, u, columns, places)
+    assert text == _reference_writer.grid_text(header, u, columns, places)
+    return text
+
+
+def test_writer_matches_oracle_on_a_long_grid(capsys):
+    # the shape of a decompose job: 10001 rows, values across many magnitudes
+    u = np.arange(10001) * 0.01
+    rng = np.random.default_rng(7)
+    columns = [
+        np.exp(-0.01 * u),
+        rng.standard_normal(u.size) * 10.0 ** rng.integers(-12, 8, u.size),
+        np.round(rng.random(u.size) * 2**20) / 2**21,  # many exact decimal ties
+        -np.zeros(u.size),
+    ]
+    for places in (1, 6, 10):
+        text = _assert_writer_matches_oracle(capsys, u, columns, places)
+        assert text.count("\n") == 10002
+
+
+def test_writer_matches_oracle_on_na_cells(capsys):
+    u = np.array([0.5, 1.0, 2.0, 3.0])
+    values = np.array([0.25, np.nan, np.inf, -np.inf])
+    other = np.array([0.1, 0.2, 0.3, 0.4])
+    text = _assert_writer_matches_oracle(capsys, u, [values, None, other], 6)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    # a non-finite cell is NA in that cell only; a None column is NA throughout
+    assert [row[1] for row in rows] == ["0.250000", "NA", "NA", "NA"]
+    assert [row[2] for row in rows] == ["NA"] * 4
+    assert [row[3] for row in rows] == ["0.100000", "0.200000", "0.300000", "0.400000"]
+    assert [row[0] for row in rows] == ["0.500000", "1.000000", "2.000000", "3.000000"]
+
+
+@pytest.mark.parametrize("places", [1, 6, 10])
+def test_writer_matches_oracle_on_tiny_u(places, capsys):
+    u = np.array([-0.0, 1e-300, 1e-200, 4e-11, 5e-11, 4e-7, 5e-7, 1e-6, 0.04, 0.05, 0.06, 1.0])
+    values = np.linspace(0.0, 1.0, u.size)
+    text = _assert_writer_matches_oracle(capsys, u, [values, None], places)
+    cells = [line.split(",")[0] for line in text.splitlines()[1:]]
+    assert cells[0] == "-" + f"{0.0:.{places}f}"
+    assert cells[1:3] == ["1e-300", "1e-200"]  # a positive u never prints as zero
+    assert all(float(c) > 0.0 for c in cells[1:])
+
+
+def test_writer_out_file_matches_stdout(tmp_path, capsys):
+    u = np.array([1e-200, 0.5, 1.0])
+    columns = [np.array([1.0, np.nan, 0.5]), None]
+    text = _write_grid(capsys, ["u", "a", "b"], u, columns, 6)
+    path = tmp_path / "grid.csv"
+    assert _write_grid(capsys, ["u", "a", "b"], u, columns, 6, out=str(path)) == ""
+    assert path.read_bytes() == text.encode()

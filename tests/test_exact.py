@@ -104,13 +104,35 @@ def test_grid_matches_pointwise(method, degree, atol, exp_model, gamma_model, mi
         assert grid[0] == exact_ruin(m, 0.0)
 
 
-def test_unrepresentable_transform_is_an_inversion_error(exp_model):
-    # at u = 1e-200 the contour sits near |s| = 1e201 and the transform
-    # overflows to NaN; the self-check must raise rather than return it
-    with pytest.raises(InversionError, match="disagree at t=1e-200: nan vs nan"):
-        exact_ruin(exp_model, 1e-200)
-    with pytest.raises(InversionError, match="t=1e-200"):
-        exact_ruin(exp_model, [0.0, 1e-200, 1.0])
+def test_unrepresentable_transform_is_an_inversion_error():
+    # sigma = 1e-150 puts tau near 2e300: at u = 1e-100 the contour sits near
+    # |s| = 1e101, s * (s + tau) overflows and the transform is NaN; the
+    # self-check must raise rather than return it
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1e-150, loading=0.01)
+    with pytest.raises(InversionError, match="disagree at t=1e-100: nan vs nan"):
+        exact_ruin(m, 1e-100)
+    with pytest.raises(InversionError, match="t=1e-100"):
+        exact_ruin(m, [0.0, 1e-100, 1.0])
+
+
+@pytest.mark.parametrize(
+    "claims, loading", [(Exponential(1.0), 1.0), (Gamma(2.0, 2.0), 0.01)], ids=["exp.theta1", "gamma2.theta0.01"]
+)
+def test_tiny_u_is_exactly_one(claims, loading):
+    # psi(u) = 1 - tau*q*u + O(u^2): below tau*q*u = 2**-54 the value is 1.0,
+    # where the transform on the contour (|s| near 2M/(5u)) would overflow
+    m = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=loading)
+    tiny = [1e-300, 1e-200, 1e-153, 1e-100]
+    for method in ("talbot", "euler"):
+        for u in tiny:
+            assert exact_ruin(m, u, method=method) == 1.0
+        grid = exact_ruin(m, [0.0, *tiny, 1.0], method=method)
+        assert grid[:-1].tolist() == [1.0] * 5
+        assert grid[-1] == exact_ruin(m, 1.0, method=method)
+    # the first u that is inverted meets the fill within the inversion's
+    # absolute accuracy
+    edge = 2.0**-54 / (m.tau * m.q)
+    assert exact_ruin(m, edge) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scalar_returns_float(exp_model):
