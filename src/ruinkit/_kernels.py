@@ -47,7 +47,10 @@ thousand lanes lasts microseconds, and two threads would spend that time
 handing the GIL back and forth (finishing each share in its thread made a
 long light-loading run about 35% slower). The survivors of every share are
 joined in share order and finished serially by the same event loop,
-_advance. With one share this is the serial loop itself.
+_advance; a single share runs on the calling thread alone.
+
+The ladder integral (claims.py) and the lattice record (bounds.py) are one
+positive block scan, _decay_scan.
 """
 
 from __future__ import annotations
@@ -209,6 +212,32 @@ def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: floa
     # the recurrence weights the j=k end point fully; the tail takes half back
     tail = forcing - 0.5 * fh * kern * forcing[0]
     return _series_recurrence(forcing[0], tail, fh, kern)
+
+
+# ---------------------------------------------------------------------------
+# decay scan: the ladder integral and the lattice record
+# ---------------------------------------------------------------------------
+
+# largest rate-span of one _decay_scan block: e^{l} stays below e^300, and a
+# weight e^{l_j - l_k} carries two lags' rounding, at most 6.7e-14 relative
+_BLOCK_SPAN = 300.0
+
+
+def _decay_scan(x, pos, rate):
+    """y[k] = sum_{j<=k} e^{-rate (pos[k] - pos[j])} x[j] for nondecreasing pos,
+    in blocks of rate-span at most _BLOCK_SPAN as e^{-l} (head + cumsum(x e^{l})).
+    The lag l = rate (pos - pos[block start]) is a difference of positions, so
+    it is exact to rounding however far the block lies from pos[0]. For x >= 0
+    every term is positive and nothing cancels."""
+    out = np.empty(x.size)
+    s = 0
+    while s < x.size:
+        head = out[s - 1] * math.exp(-rate * (pos[s] - pos[s - 1])) if s else 0.0
+        stop = int(np.searchsorted(pos, pos[s] + _BLOCK_SPAN / rate, side="right"))
+        lag = rate * (pos[s:stop] - pos[s])
+        out[s:stop] = np.exp(-lag) * (head + np.cumsum(x[s:stop] * np.exp(lag)))
+        s = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +425,6 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
     # through the same multiplier would alias (seed, p) with (seed+1, p-1)
     base = _mix(_SEED_SALT + (np.uint64(seed) + _ONE) * _GOLDEN)
     k = max(1, min(_cpu_count(), n_paths // (2 * _FLOOR)))
-    if k == 1:
-        return _share(base, 0, n_paths, u0, 0, *model)[:2]
     edges = [n_paths * i // k for i in range(k + 1)]
     out = [None] * k
 

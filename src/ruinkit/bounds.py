@@ -34,12 +34,12 @@ gives the upper. The acceptance sandwich checks run this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, expm1
+from math import ceil, exp, expm1
 
 import numpy as np
 
 # lattice_convolve is no longer called here; perfbench/tracing.py rebinds it at this name
-from ._kernels import lattice_convolve, panjer_compound  # noqa: F401
+from ._kernels import _decay_scan, lattice_convolve, panjer_compound  # noqa: F401
 from .exact import RuinCurve
 from .model import PerturbedModel
 
@@ -95,32 +95,18 @@ def _check_width(lattice_width: float) -> None:
         raise ValueError(f"lattice_width must be finite and positive, got {lattice_width!r}")
 
 
-# largest exponent span of one block of the record recurrence: r^{-j} stays
-# below e^600 inside a block, far from overflow
-_BLOCK_SPAN = 600.0
-
-
 def _with_record(tail: np.ndarray, span: float) -> np.ndarray:
     """Tail of R + S on the lattice from the tail of S, for R the Exp(tau)
     record floored to the lattice: P(R = n) = (1-r) r^n, r = e^{-span},
     span = tau * w.
 
-    y[k] = r y[k-1] + (1-r) tail[k] from y[-1] = 1, solved in blocks as
-    y[s+i] = r^{i+1} y[s-1] + (1-r) r^i sum_{j<=i} r^{-j} tail[s+j]: every
-    term is positive, so each value keeps its relative accuracy.
+    y[k] = r y[k-1] + (1-r) tail[k] from y[-1] = 1, that is y[k] = sum_{j<=k}
+    r^{k-j} x[j] with x = (1-r) tail and r added to x[0]: one decay scan of
+    positive terms, so each value keeps its relative accuracy.
     """
-    out = np.empty(tail.size)
-    step = max(1, int(_BLOCK_SPAN / span))
-    gain = -expm1(-span)  # 1 - r
-    prev = 1.0
-    for s in range(0, tail.size, step):
-        block = tail[s : s + step]
-        i = np.arange(block.size)
-        out[s : s + block.size] = np.exp(-span * (i + 1)) * prev + gain * np.exp(-span * i) * np.cumsum(
-            block * np.exp(span * i)
-        )
-        prev = out[s + block.size - 1]
-    return out
+    x = -expm1(-span) * tail  # 1 - r
+    x[:1] += exp(-span)  # r on x[0]; a slice, so an empty tail stays empty
+    return _decay_scan(x, np.arange(tail.size), span)
 
 
 def _snap_indices(u_grid: np.ndarray, width: float, mode: str) -> np.ndarray:

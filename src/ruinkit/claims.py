@@ -12,6 +12,10 @@ both sums of positive terms that keep their relative accuracy deep in the
 tail, where 1 - h3_cdf is exactly 0. The lattice bounds and the cause split
 read that tail; h3_cdf and h3_density are views on the same evaluation.
 
+Exponential is the one-component MixedExponential, whose sums give the
+exponential closed forms bitwise (1.0 * x and 0 + x are exact); it keeps its
+own class for its one-uniform Monte Carlo sampler.
+
 All pointwise functions accept scalars or numpy arrays and return a matching
 shape. Transform functions (mgf, laplace, equilibrium_laplace) also accept
 complex arguments; on the real axis the MGF is guarded at its divergence
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _decay_scan
+
 __all__ = [
     "ClaimDistribution",
     "Exponential",
@@ -46,9 +52,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 # knots 2^-50 .. 2^0 of the panel width: near the origin no panel is wider
 # than its distance from 0 (a gamma tail with shape < 1 has a power kink there)
 _GRADING = np.exp2(-np.arange(50, -1, -1.0))
-# largest tau-span of one block of the ladder's cumulative sum: e^{lag} stays
-# finite and carries a relative error of at most 600 * 1.1e-16
-_BLOCK_SPAN = 600.0
 # a stretch more than _REACH / tau below a point is weighted by at most
 # e^{-750}, under the smallest subnormal double
 _REACH = 750.0
@@ -207,7 +210,7 @@ class ClaimDistribution(ABC):
         dyadic grading toward 0 and equal splits no wider than 1/tau, the
         claim mean or its standard deviation; each panel takes an 8-node
         Gauss-Legendre rule and the integral moves forward as
-        J_k = e^{-tau(hi_k - hi_{k-1})} J_{k-1} + panel_k. A gap is
+        J_k = e^{-tau(hi_k - hi_{k-1})} J_{k-1} + panel_k (_decay_scan). A gap is
         integrated only over its last _REACH / tau: what lies below is scaled
         by e^{-_REACH}, under the smallest double.
         """
@@ -228,22 +231,13 @@ class ClaimDistribution(ABC):
         lo = np.concatenate(([0.0], hi[:-1]))
         lo[last - pieces + 1] = start
 
-        # J_k = e^{-lag_k} (J_first + sum_j e^{lag_j} panel_j), lag_k = tau (hi_k - hi_first),
-        # in blocks of bounded tau-span (so e^{lag} stays finite) and size;
-        # every term is positive, so nothing cancels
-        out = np.empty(hi.size)
-        carry = prev = 0.0
-        k = 0
-        while k < hi.size:
-            stop = min(k + _CHUNK_PANELS, np.searchsorted(hi, hi[k] + _BLOCK_SPAN / tau, side="right"))
-            half = 0.5 * (hi[k:stop] - lo[k:stop])
-            lag = tau * (hi[k:stop] - hi[k])
+        panel = np.empty(hi.size)
+        for k in range(0, hi.size, _CHUNK_PANELS):
+            half = 0.5 * (hi[k : k + _CHUNK_PANELS] - lo[k : k + _CHUNK_PANELS])
             back = half[:, None] * (1.0 - _GL_NODES)  # hi - node
-            vals = self.tail(hi[k:stop, None] - back) * np.exp(lag[:, None] - tau * back)
-            head = carry * math.exp(-tau * (hi[k] - prev))
-            out[k:stop] = np.exp(-lag) * (head + np.cumsum((vals @ _GL_WEIGHTS) * half))
-            carry, prev, k = out[stop - 1], hi[stop - 1], stop
-        values = out[last[at]]
+            vals = self.tail(hi[k : k + _CHUNK_PANELS, None] - back) * np.exp(-tau * back)
+            panel[k : k + _CHUNK_PANELS] = (vals @ _GL_WEIGHTS) * half
+        values = _decay_scan(panel, hi, tau)[last[at]]
         return values if inverse is None else values[inverse]
 
 
@@ -264,42 +258,6 @@ def _ladder_args(x, tau: float):
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Exponential(ClaimDistribution):
-    """Exponential claim sizes with the given rate."""
-
-    rate: float
-
-    def __post_init__(self):
-        _check_parameter("rate", self.rate)
-
-    def raw_moment(self, k: int) -> float:
-        self._check_order(k)
-        return math.factorial(k) / self.rate**k
-
-    def _mgf_unchecked(self, r):
-        return self.rate / (self.rate - np.asarray(r)) if not np.isscalar(r) else self.rate / (self.rate - r)
-
-    def _mgf_minus_one(self, r: float) -> float:
-        return r / (self.rate - r)
-
-    @property
-    def mgf_sup(self) -> float:
-        return self.rate
-
-    def cdf(self, x):
-        return -np.expm1(-self.rate * np.asarray(x)) if not np.isscalar(x) else -math.expm1(-self.rate * x)
-
-    def tail(self, x):
-        return np.exp(-self.rate * np.asarray(x)) if not np.isscalar(x) else math.exp(-self.rate * x)
-
-    def integrated_tail(self, x):
-        return -np.expm1(-self.rate * np.asarray(x)) / self.rate
-
-    def upper_integrated_tail(self, x):
-        return np.exp(-self.rate * np.asarray(x)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -418,3 +376,17 @@ class MixedExponential(ClaimDistribution):
     def upper_integrated_tail(self, x):
         x_arr = np.asarray(x)
         return sum(w * np.exp(-b * x_arr) / b for w, b in zip(self.weights, self.rates))
+
+
+class Exponential(MixedExponential):
+    """Exponential claim sizes with the given rate: the one-component mixture."""
+
+    def __init__(self, rate: float):
+        super().__init__(weights=(1.0,), rates=(rate,))
+
+    def __repr__(self) -> str:
+        return f"Exponential(rate={self.rate!r})"
+
+    @property
+    def rate(self) -> float:
+        return self.rates[0]

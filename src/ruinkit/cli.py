@@ -27,6 +27,10 @@ from .montecarlo import SimConfig, simulate_ruin
 __all__ = ["main", "parse_model", "parse_claims"]
 
 _TABLE_METHODS = ("exact", "dg", "4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
+_CHOICES = {"inversion": ("talbot", "euler"), "convention": ("strict", "published")}
+# flag defaults, filled once the config file has had its turn: a flag with an
+# argparse default would look set, and the file could never fill it
+_DEFAULTS = {"precision": 6, "inversion": "talbot", "convention": "strict", "step": 0.01}
 _MODEL_KEYS = ("lambda", "theta", "sigma", "claims", "c")
 
 
@@ -130,7 +134,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _note_mixture_rate(model, R: float) -> None:
-    if isinstance(model.claims, MixedExponential):
+    if type(model.claims) is MixedExponential:  # not its one-component subclass Exponential
         sys.stderr.write(
             "note: mixture decay-rate root R=%.6e lies below the mgf divergence "
             "radius %.6e; any quoted rate at or above the radius cannot solve "
@@ -331,7 +335,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("exact", parents=[common])
     sp.add_argument("--u")
-    sp.add_argument("--inversion", choices=("talbot", "euler"), default="talbot")
+    sp.add_argument("--inversion", choices=_CHOICES["inversion"], help="default talbot")
     sp.add_argument("--degree", type=int)
 
     sp = sub.add_parser("approx", parents=[common])
@@ -342,13 +346,13 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bounds", parents=[common])
     sp.add_argument("--u")
     sp.add_argument("--lattice", type=float)
-    sp.add_argument("--convention", choices=("strict", "published"), default="strict")
+    sp.add_argument("--convention", choices=_CHOICES["convention"], help="default strict")
 
     sub.add_parser("coef", parents=[common])
 
     sp = sub.add_parser("decompose", parents=[common])
     sp.add_argument("--umax", type=float)
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--step", type=float, help="default 0.01")
 
     sp = sub.add_parser("simulate", parents=[common])
     sp.add_argument("--u", dest="u_scalar", type=float)
@@ -391,9 +395,12 @@ def _apply_config(args) -> None:
             if getattr(args, key) is None:
                 cast = _CONFIG_CASTS.get(key, str)
                 try:
-                    setattr(args, key, cast(val.strip()))
+                    value = cast(val.strip())
+                    if key in _CHOICES and value not in _CHOICES[key]:
+                        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(_CHOICES[key])})")
                 except ValueError as exc:
                     raise UsageError(f"{args.config}:{line_no}: bad value for {key}: {exc}") from exc
+                setattr(args, key, value)
 
 
 _COMMANDS = {
@@ -414,8 +421,9 @@ def main(argv=None) -> int:
     warnings: list[str] = []
     try:
         _apply_config(args)
-        if args.precision is None:
-            args.precision = 6
+        for key, value in _DEFAULTS.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, value)
         if args.precision < 1:
             raise UsageError("precision must be at least 1")
         if not args.model:

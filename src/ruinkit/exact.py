@@ -70,7 +70,8 @@ def exact_ruin(
     sigma > 0, and 1 - q on the classical sigma = 0 pathway. With sigma > 0,
     every u with tau*q*u < 2**-54 is filled with 1 too, the value that
     psi(u) = 1 - tau*q*u + O(u^2) rounds to. Every other u goes through one
-    inversion call on the whole grid. Absolute accuracy target is 1e-7 over
+    inversion call on the whole grid, capped at the u = 0 value that its
+    absolute noise would pass near 0. Absolute accuracy target is 1e-7 over
     u in [0, 100] (validated against the closed form available for
     exponential claims). Every call recomputes at a higher
     quadrature order and raises InversionError at the first u where the two
@@ -79,7 +80,8 @@ def exact_ruin(
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
         raise ValueError("u must be finite and nonnegative")
-    out = np.full(u_arr.shape, 1.0 if model.sigma > 0.0 else 1.0 - model.q)
+    top = 1.0 if model.sigma > 0.0 else 1.0 - model.q  # psi(0)
+    out = np.full(u_arr.shape, top)
     by_inversion = u_arr > 0.0
     if model.sigma > 0.0:
         # psi(u) = 1 - tau*q*u + O(u^2), as s(s Psi*(s) - 1) -> -tau*q, so
@@ -89,9 +91,10 @@ def exact_ruin(
         with np.errstate(over="ignore"):
             by_inversion &= model.tau * model.q * u_arr >= 2.0**-54
     if np.any(by_inversion):
-        out[by_inversion] = _inversion.invert(
+        values = _inversion.invert(
             model.pk_transform, u_arr[by_inversion], method=method, degree=degree, check_tol=1e-6
         )
+        out[by_inversion] = np.minimum(values, top)  # psi is nonincreasing
     return float(out[0]) if np.ndim(u) == 0 else out
 
 

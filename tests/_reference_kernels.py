@@ -56,6 +56,18 @@ def _volterra_march_py(forcing, kern, factor, h):
     return psi
 
 
+def _decay_scan_py(x, pos, rate):
+    # y[k] = e^{-rate (pos[k] - pos[k-1])} y[k-1] + x[k], one term at a time
+    out = np.zeros(len(x))
+    acc = 0.0
+    for k in range(len(x)):
+        if k:
+            acc *= math.exp(-rate * (pos[k] - pos[k - 1]))
+        acc += x[k]
+        out[k] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # counter-based RNG, one scalar draw at a time
 # ---------------------------------------------------------------------------

@@ -58,6 +58,43 @@ class TestExponential:
                 Exponential(rate)
 
 
+class TestExponentialIsTheOneComponentMixture:
+    """Exponential is MixedExponential((1.0,), (rate,)). The mixture's sums
+    over one component of weight 1.0 give the exponential closed forms
+    bitwise, since 1.0 * x and 0 + x are exact."""
+
+    X = np.array([0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 40.0, 300.0, 700.0])
+    S = np.array([-3.0 + 0.0j, 0.2 + 0.0j, 1.5 + 2.0j, -0.5 - 40.0j, 1e-9 + 1e-9j, -200.0 + 1e3j])
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+    def test_closed_forms_are_bitwise_the_exponential_ones(self, b):
+        d, x, s = Exponential(b), self.X, self.S
+        assert np.array_equal(d.tail(x), np.exp(-b * x))
+        assert np.array_equal(d.cdf(x), -np.expm1(-b * x))
+        assert np.array_equal(d.integrated_tail(x), -np.expm1(-b * x) / b)
+        assert np.array_equal(d.upper_integrated_tail(x), np.exp(-b * x) / b)
+        assert np.array_equal(d._mgf_unchecked(s), b / (b - s))
+        for r in (-2.0 * b, -1e-9, 1e-12 * b, 0.25 * b, 0.999 * b):
+            assert d._mgf_minus_one(r) == r / (b - r)
+        assert [d.raw_moment(k) for k in range(1, 6)] == [math.factorial(k) / b**k for k in range(1, 6)]
+        assert d.mgf_sup == b
+
+    def test_equality_hashing_and_rate(self):
+        assert Exponential(2.0) == Exponential(2.0)
+        assert hash(Exponential(2.0)) == hash(Exponential(2.0))
+        assert Exponential(2.0) != Exponential(3.0)
+        assert len({Exponential(2.0), Exponential(2.0), Exponential(3.0)}) == 2
+        # a mixture built with one component is equal in law, not the same family
+        assert Exponential(2.0) != MixedExponential((1.0,), (2.0,))
+        assert isinstance(Exponential(2.0), MixedExponential)
+        assert Exponential(2.0).rate == 2.0
+        assert repr(Exponential(2.0)) == "Exponential(rate=2.0)"
+        with pytest.raises(AttributeError):
+            Exponential(2.0).rate = 3.0
+        with pytest.raises(AttributeError):
+            Exponential(2.0).rates = (3.0,)
+
+
 class TestGamma:
     def test_raw_moments(self):
         d = Gamma(2.0, 2.0)
@@ -233,6 +270,16 @@ def _oracle_family(name):
         return Exponential(float(name[3:]))
     shape = float(name[5:])
     return Gamma(shape, shape)
+
+
+@pytest.mark.parametrize("tau", [880.0, 400.0])
+def test_exponential_ladder_density_at_large_tau(tau):
+    # sigma = 0.05 and 0.1 put tau near these values. The scan's lags must be
+    # differences of positions inside a block: lags read off one global
+    # tau * x lose digits here (2e-11 relative at tau = 880)
+    x = np.linspace(0.01, 700.0, 4001)
+    closed = tau * np.exp(-x) * -np.expm1(-(tau - 1.0) * x) / (tau - 1.0)
+    np.testing.assert_allclose(Exponential(1.0).h3_density(x, tau), closed, rtol=1e-13, atol=0.0)
 
 
 class TestLadderGenericPath:

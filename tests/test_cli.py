@@ -137,6 +137,14 @@ def test_mixture_rate_note_is_written_once(capsys):
     assert err_coef == err_table
 
 
+def test_exponential_claims_write_no_mixture_note(capsys):
+    # Exponential is a one-component MixedExponential; the note is for mixtures
+    for argv in (["coef", "--model", EXP_MODEL], ["table", "--model", EXP_MODEL, "--methods", "lundberg", "--u", "1"]):
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 0
+        assert err == ""
+
+
 def test_decompose_command(capsys):
     rc, out, _ = run_cli(
         ["decompose", "--model", HEAVY_MODEL, "--umax", "1", "--step", "0.25"], capsys
@@ -477,6 +485,44 @@ def test_config_bad_value_exits_1(tmp_path, capsys, line):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and f"bad value for {key}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bounds", "--model", EXP_MODEL, "--lattice", "0.1", "--u", "1,2"], "convention=published"),
+        # the published convention rejects loading >= 0.5: exit 2 either way
+        (["bounds", "--model", HEAVY_MODEL, "--lattice", "0.1", "--u", "1,2"], "convention=published"),
+        (["exact", "--model", GAMMA_MODEL, "--u", "1,5", "--precision", "12"], "inversion=euler"),
+        (["decompose", "--model", EXP_MODEL, "--umax", "0.5"], "step=0.05"),
+    ],
+    ids=["convention", "convention-rejected", "inversion", "step"],
+)
+def test_config_sets_flags_that_have_defaults(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    key, value = line.split("=")
+    by_flag = run_cli(argv + [f"--{key}", value], capsys)
+    assert run_cli(argv + ["--config", str(cfg)], capsys) == by_flag
+    assert run_cli(argv, capsys) != by_flag  # the value is not the default
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bounds", "--model", EXP_MODEL, "--lattice", "0.1", "--u", "1,2"], "convention=bogus"),
+        (["exact", "--model", EXP_MODEL, "--u", "1"], "inversion=bogus"),
+        (["decompose", "--model", EXP_MODEL, "--umax", "0.5"], "step=bogus"),
+    ],
+    ids=["convention", "inversion", "step"],
+)
+def test_config_bad_choice_exits_1(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and f"bad value for {line.split('=')[0]}" in err
 
 
 def test_out_file_matches_stdout_and_is_stable(tmp_path, capsys):

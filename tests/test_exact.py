@@ -135,6 +135,22 @@ def test_tiny_u_is_exactly_one(claims, loading):
     assert exact_ruin(m, edge) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("u", [3e-17, 1e-16, 1e-14])
+def test_tiny_u_never_passes_the_value_at_zero(u):
+    # just above the fill, the inversion's absolute noise (about 1e-11) is
+    # larger than 1 - psi; psi is nonincreasing, so psi(0) caps it
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=1.0)
+    closed = mixture_exact_ruin(m.lam, m.c, m.sigma, (1.0,), (1.0,), u)
+    for value in (exact_ruin(m, u), exact_ruin(m, [u, 1.0])[0]):
+        assert value <= 1.0
+        assert value == pytest.approx(closed, abs=1e-11)
+    # the classical pathway's cap is psi(0) = 1 - q
+    m0 = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=1.0)
+    value = exact_ruin(m0, u)
+    assert value <= 1.0 - m0.q
+    assert value == pytest.approx((1.0 - m0.q) * math.exp(-m0.q * u), abs=1e-11)
+
+
 def test_scalar_returns_float(exp_model):
     v = exact_ruin(exp_model, 1.0)
     assert isinstance(v, float)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ruinkit import Exponential, PerturbedModel
-from ruinkit._kernels import _bisect
+from ruinkit._kernels import _bisect, _decay_scan
 from ruinkit.bounds import discretize_ladder, lattice_convolve, panjer_compound
 from ruinkit.exact import volterra_march
 
-from _reference_kernels import _lattice_convolve_py, _panjer_compound_py, _volterra_march_py
+from _reference_kernels import _decay_scan_py, _lattice_convolve_py, _panjer_compound_py, _volterra_march_py
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,35 @@ def test_panjer_deep_tail_matches_closed_form():
     np.testing.assert_allclose(g[big], exact[big], rtol=1e-12)
     assert np.all(np.isfinite(g))
     assert np.all((g[~big] >= 0.0) & (g[~big] <= 1e-290))
+
+
+def _scan_cases():
+    rng = np.random.default_rng(15)
+    n = 5000
+    x = rng.uniform(0.0, 1.0, n) * np.exp(-rng.uniform(0.0, 50.0, n))
+    x[rng.integers(0, n, 50)] = 0.0
+    # uniform grids over several blocks (rate * span = 2500 and 2600 against a
+    # block span of 300; the second has lags that round), irregular increasing
+    # positions with a gap wider than a block, and a rate so large that every
+    # block holds one point
+    irregular = np.cumsum(rng.exponential(0.3, n))
+    irregular[n // 2 :] += 5000.0
+    return {
+        "uniform": (x, np.arange(n, dtype=float), 0.5),
+        "uniform-fine": (x, np.arange(n) * 0.004, 130.0),
+        "irregular": (x, irregular, 1.7),
+        "one-per-block": (x[:300], np.arange(300.0), 900.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["uniform", "uniform-fine", "irregular", "one-per-block"])
+def test_decay_scan_matches_reference_loop(case):
+    x, pos, rate = _scan_cases()[case]
+    np.testing.assert_allclose(_decay_scan(x, pos, rate), _decay_scan_py(x, pos, rate), rtol=1e-13, atol=0.0)
+
+
+def test_decay_scan_of_nothing_is_empty():
+    assert _decay_scan(np.zeros(0), np.zeros(0), 1.0).shape == (0,)
 
 
 def test_volterra_rejects_nonzero_kernel_origin():

@@ -23,7 +23,7 @@ from ruinkit import (
     simulate_ruin,
 )
 from ruinkit import _kernels
-from ruinkit.montecarlo import mc_ruin_paths
+from ruinkit.montecarlo import _family_code, mc_ruin_paths
 
 from _reference_kernels import _mc_ruin_paths_py
 from conftest import MIX_RATES, MIX_WEIGHTS
@@ -103,6 +103,18 @@ def test_engines_agree_exactly():
     # the one-path-at-a-time oracle must consume identical streams
     args = (11, 3000, 1.0, 2.0, 1.0, 1.0, 50.0, 0, np.array([1.0]))
     assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == (275, 936)
+
+
+def test_exponential_keeps_its_one_draw_sampler():
+    # Exponential is a one-component MixedExponential but keeps family 0, one
+    # uniform per claim; a mixture built with one component keeps family 2,
+    # two uniforms per claim, so neither class's streams change
+    def code(claims):
+        family, fp = _family_code(PerturbedModel(claims, lam=1.0, sigma=1.0, loading=1.0))
+        return family, fp.tolist()
+
+    assert code(Exponential(2.0)) == (0, [2.0])
+    assert code(MixedExponential((1.0,), (2.0,))) == (2, [1.0, 1.0, 2.0])
 
 
 SAMPLERS = {
