@@ -28,26 +28,35 @@ The Monte Carlo kernel draws from a counter-based splitmix64 stream keyed by
 (ctr+1) * GOLDEN). The splitmix input is linear in the counter, so each live
 lane keeps one uint64 state = key_path + (ctr+1) * GOLDEN, draw j of an event
 is finalize(state + j * GOLDEN), and an event of m draws adds m * GOLDEN.
-An event draws all its fixed uniforms as one (m, n_live) block: the wait,
-the Box-Muller pair and the bridge when sigma > 0, and the claim (one for
-exponential, two for a mixture). A lane that ends before it would use a
-draw (ruin before the bridge, censoring or ruin before the claim) is
-dropped with it, so every path reads exactly its own stream; the live lanes
-are compacted once per event. Gamma claims keep a per-lane rejection loop on
-the same states. No draw depends on how lanes are batched or the order
-paths run in, so the output is a pure function of the arguments.
+Events run in blocks: n live lanes run k = _BLOCK // n events at once
+(within [1, _KMAX]), so each numpy call spans about _BLOCK lane-events even
+when few lanes are left. A block draws the fixed uniforms of its k events
+as one (k * m, n) block: the wait, the Box-Muller pair and the bridge when
+sigma > 0, and the claim (one for exponential, two for a mixture). Waits,
+Box-Muller, claims, sqrt(dt) and the bridge's exp each run once over the
+block; the running sums of time and surplus run a row at a time in event
+order, and a row loop over an alive mask finds where each lane ends. A lane
+computes on past its end to the end of the block and those values are
+never read, so every path counts exactly what its own stream gives; the
+live lanes are compacted once per block. Gamma claims draw a varying number
+of uniforms in their per-lane rejection loop, so their blocks are one event
+long, on the same code path. No draw depends on how lanes are batched, how
+many events a block holds, or the order paths run in, so the counts are a
+pure function of the arguments. Against the scalar oracle in the tests
+only the counts are pinned: numpy's log and exp round apart from math.log
+and math.exp on some inputs (0.34% and 4.4% of 10^6 uniforms on an AVX-512
+x86 machine; cos and sqrt agree on all), and the oracle sums the surplus in
+another order, so a value may differ in its last bits.
 
 That also makes the paths free to split across CPUs (Salmon et al. 2011;
 Steele, Lea & Flood 2014). mc_ruin_paths cuts the path range into one share
-per CPU the process may run on, each of at least 2 * _FLOOR paths, and builds
-each share's lanes from its own index range. Shares 1..k-1 run in threads
-and share 0 on the calling thread; numpy releases the GIL inside each call.
-A share stops once it has _FLOOR live lanes or fewer: a call on a few
+per CPU the process may run on, each of at least _MIN_SHARE paths, and
+builds each share's lanes from its own index range. Shares 1..k-1 run in
+threads and share 0 on the calling thread, each to its last live lane;
+numpy releases the GIL inside each call, and the counts of the shares are
+summed. Blocks keep the calls long as a share thins out: one event on a few
 thousand lanes lasts microseconds, and two threads would spend that time
-handing the GIL back and forth (finishing each share in its thread made a
-long light-loading run about 35% slower). The survivors of every share are
-joined in share order and finished serially by the same event loop,
-_advance; a single share runs on the calling thread alone.
+handing the GIL back and forth.
 
 The ladder integral (claims.py) and the lattice record (bounds.py) are one
 positive block scan, _decay_scan.
@@ -254,7 +263,9 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
-_STRIDE = np.arange(8, dtype=np.uint64) * _GOLDEN  # offset of draw j; an event has at most 6
+_KMAX = 64  # most events in one Monte Carlo block
+# offset of draw j: an event has at most 6 draws and a block at most _KMAX events
+_STRIDE = np.arange(6 * _KMAX + 1, dtype=np.uint64) * _GOLDEN
 
 
 def _mix(z):
@@ -299,7 +310,8 @@ def _gamma_mt(state, shape):
         x = 1.0 + cc * z
         pos = x > 0.0
         state[todo] = s + np.where(pos, _STRIDE[3], _STRIDE[2])
-        v = np.where(pos, x, 1.0) ** 3
+        v = np.where(pos, x, 1.0)
+        v = v * v * v  # as x * x * x, not libm pow
         ok = pos & (np.log(u[2]) < 0.5 * z * z + d - d * v + d * np.log(v))
         out[todo[ok]] = d * v[ok]
         todo = todo[~ok]
@@ -317,22 +329,32 @@ def _gamma_claim(state, shape, rate):
 
 
 def _block_claim(u, family, fp):
-    """One claim per lane from its block rows: exponential 1, mixture 2."""
+    """One claim per lane and event from the claim rows of a (k, rows, n)
+    block: exponential 1, mixture 2; returns a new (k, n) array."""
     if family == 0:
-        return -np.log(u[0]) / fp[0]
-    k = int(fp[0])
-    cumw, rates = fp[1 : 1 + k], fp[1 + k : 1 + 2 * k]
-    comp = np.minimum(np.searchsorted(cumw, u[0], side="left"), k - 1)
-    return -np.log(u[1]) / rates[comp]
+        rate = fp[0]
+    else:
+        n_comp = int(fp[0])
+        cumw, rates = fp[1 : 1 + n_comp], fp[1 + n_comp : 1 + 2 * n_comp]
+        # the component is searchsorted(cumw, u, "left") capped at n_comp - 1,
+        # the count of cumw[:-1] below u (cumw is nondecreasing); comparisons
+        # cost a tenth of a binary search per lane
+        comp = np.zeros(u[:, 0].shape, dtype=np.intp)
+        for w in cumw[:-1]:
+            comp += u[:, 0] > w
+        rate = rates.take(comp)
+        u = u[:, 1:]
+    return -np.log(u[:, 0]) / rate
 
 
 # ---------------------------------------------------------------------------
-# event-driven Monte Carlo, all live paths advanced one event at a time
+# event-driven Monte Carlo, all live paths advanced a block of events at a time
 # ---------------------------------------------------------------------------
 
-# live lanes per share below which threads stop: a numpy call on fewer lanes
-# lasts a few microseconds, and two threads would mostly trade the GIL
-_FLOOR = 8192
+# lane-events per block: n live lanes run k = _BLOCK // n events per block,
+# at least 1 and at most _KMAX, so each numpy call spans about _BLOCK values
+_BLOCK = 32768
+_MIN_SHARE = 16384  # fewest paths of a share when the paths are split
 
 
 def _cpu_count():
@@ -342,75 +364,112 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _advance(state, v, t, c, lam, sigma, horizon, family, fp, floor):
-    """Run events while more than floor lanes are live; returns (n_osc,
-    n_claim, state, v, t) with the counts of this call and the live lanes."""
-    sig2 = sigma * sigma
-    # the event's fixed draws: wait, then Box-Muller pair and bridge, then claim
-    j_claim = 4 if sigma > 0.0 else 1
-    m = j_claim + (1, 0, 2)[family]
+def _advance(state, v, t, c, lam, sigma, horizon, family, fp):
+    """Run the lanes (state, v, t) until every path has ended; returns
+    (n_osc, n_claim)."""
     n_osc = 0
     n_claim = 0
-    # a wait overflows to inf when lam is tiny, which is harmless. The error
-    # state is set here because a thread does not inherit the caller's, and
-    # not by a decorator, whose wrapper would hold the first event's lanes
-    with np.errstate(over="ignore"):
-        while state.size > floor:
-            # the block's rows are consumed in place; the in-place steps only swap
-            # the operands of + and * or move a sign, so each value is bitwise
-            # the one-path-at-a-time value
-            u = _uniforms(state, m)
-            state += _STRIDE[m]
-            e = np.log(u[0], out=u[0])
-            e /= -lam
-            t_next = t + e
-            final_seg = t_next > horizon
-            dt = np.subtract(horizon, t, out=e, where=final_seg)
-            v1 = dt * c
-            v1 += v
-            if sigma > 0.0:
-                z = np.log(u[1], out=u[1])
-                z *= -2.0
-                np.sqrt(z, out=z)
-                w = np.multiply(u[2], 2.0 * np.pi, out=u[2])
-                z *= np.cos(w, out=w)
-                z *= np.sqrt(dt) * sigma
-                v1 += z
-                hit = v1 <= 0.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cross = v * -2.0
-                    cross *= v1
-                    cross /= dt * sig2
-                    np.exp(cross, out=cross)
-                hit |= (u[3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
-                n_osc += int(np.count_nonzero(hit))
-                claim = ~(hit | final_seg)
-            else:
-                claim = ~final_seg
-            # lanes censored at the horizon or hit discard their claim draws
-            if family == 1:
-                s = state[claim]
-                v1[claim] -= _gamma_claim(s, fp[0], fp[1])
-                state[claim] = s
-            else:
-                v1 -= _block_claim(u[j_claim:], family, fp)
-            live = v1 > 0.0
-            live &= claim
-            n_claim += int(np.count_nonzero(claim)) - int(np.count_nonzero(live))
-            state = state[live]
-            v = v1[live]
-            t = t_next[live]
-    return n_osc, n_claim, state, v, t
+    # a wait overflows to inf when lam is tiny, which is harmless, and a lane
+    # computes on past its end to the end of its block, where no value of it
+    # is read. The error state is set here because a thread does not inherit
+    # the caller's, and not by a decorator, whose wrapper would hold the
+    # first block's lanes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while state.size:
+            osc, claim, state, v, t = _block(state, v, t, c, lam, sigma, horizon, family, fp)
+            n_osc += osc
+            n_claim += claim
+    return n_osc, n_claim
 
 
-def _share(base, a, b, u0, floor, c, lam, sigma, horizon, family, fp):
-    """Paths a..b-1 (keys a+1..b) from their start down to floor live lanes."""
+def _block(state, v, t, c, lam, sigma, horizon, family, fp):
+    """Run k events on the n live lanes, k = _BLOCK // n within [1, _KMAX]
+    (1 for gamma claims, whose draws vary in number); returns the block's
+    (n_osc, n_claim) and the lanes still live. The block's arrays die with
+    the call, so none is held while the next block draws."""
+    n = state.size
+    k = 1 if family == 1 else min(max(_BLOCK // n, 1), _KMAX)
+    # the event's fixed draws: wait, then Box-Muller pair and bridge, then
+    # claim; draw j of event i is row i*m + j, as when events ran one by one
+    j_claim = 4 if sigma > 0.0 else 1
+    m = j_claim + (1, 0, 2)[family]
+    u = _uniforms(state, k * m).reshape(k, m, n)
+    state += _STRIDE[k * m]
+    # the rows are consumed in place, and each step runs once over the whole
+    # block but the running sums of t and v, which go a row at a time in
+    # event order: each value is bitwise the one these steps give when run
+    # one event at a time (not the scalar oracle's; see the module docstring)
+    e = np.log(u[:, 0], out=u[:, 0])
+    e /= -lam
+    t_next = np.empty((k, n))
+    np.add(t, e[0], out=t_next[0])
+    for i in range(1, k):
+        np.add(t_next[i - 1], e[i], out=t_next[i])
+    final_seg = t_next > horizon
+    # a segment cut at the horizon runs from the event before it
+    np.subtract(horizon, t, out=e[0], where=final_seg[0])
+    np.subtract(horizon, t_next[:-1], out=e[1:], where=final_seg[1:])
+    dt = e
+    v1 = dt * c
+    if sigma > 0.0:
+        z = np.log(u[:, 1], out=u[:, 1])
+        z *= -2.0
+        np.sqrt(z, out=z)
+        w = np.multiply(u[:, 2], 2.0 * np.pi, out=u[:, 2])
+        z *= np.cos(w, out=w)
+        cross = np.sqrt(dt)  # the diffusion's scale, then the bridge's crossing chance
+        cross *= sigma
+        z *= cross
+    # every lane draws its claim: a lane censored at the horizon or hit
+    # discards it, and a gamma lane that ends discards its advanced state
+    if family == 1:
+        x = _gamma_claim(state, fp[0], fp[1]).reshape(1, n)
+    else:
+        x = _block_claim(u[:, j_claim:], family, fp)
+    # v1[i]: the surplus before claim i; x[i] becomes the surplus after it
+    v_prev = v
+    for i in range(k):
+        v1[i] += v_prev
+        if sigma > 0.0:
+            v1[i] += z[i]
+        v_prev = np.subtract(v1[i], x[i], out=x[i])
+    if sigma > 0.0:
+        hit = v1 <= 0.0
+        np.multiply(v, -2.0, out=cross[0])
+        np.multiply(x[:-1], -2.0, out=cross[1:])
+        cross *= v1
+        cross /= dt * (sigma * sigma)
+        np.exp(cross, out=cross)
+        hit |= (u[:, 3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
+        stop = hit | final_seg
+    else:
+        stop = final_seg
+    # go_on[i]: the lanes still live after event i
+    go_on = x > 0.0
+    go_on &= ~stop
+    for i in range(1, k):
+        go_on[i] &= go_on[i - 1]
+    left = go_on[k - 1]
+    n_osc = _count_reached(hit, go_on) if sigma > 0.0 else 0
+    # a lane that ended and was not stopped was ruined by its claim
+    n_claim = n - int(np.count_nonzero(left)) - _count_reached(stop, go_on)
+    return n_osc, n_claim, state[left], x[k - 1][left], t_next[k - 1][left]
+
+
+def _count_reached(flag, go_on):
+    """Lanes flagged at an event they reached: every lane reaches event 0,
+    and event i the lanes live after event i - 1."""
+    return int(np.count_nonzero(flag[0])) + int(np.count_nonzero(flag[1:] & go_on[:-1]))
+
+
+def _share(base, a, b, u0, c, lam, sigma, horizon, family, fp):
+    """Paths a..b-1 (keys a+1..b) from their start to their end."""
     # the lanes are built in the call, so no frame here keeps them alive
     return _advance(
         _mix(base + np.arange(a + 1, b + 1, dtype=np.uint64) * _GOLDEN) + _GOLDEN,
         np.full(b - a, float(u0)),
         np.zeros(b - a),
-        c, lam, sigma, horizon, family, fp, floor,
+        c, lam, sigma, horizon, family, fp,
     )
 
 
@@ -424,13 +483,13 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
     # avalanche the seed before deriving path keys: mixing both linearly
     # through the same multiplier would alias (seed, p) with (seed+1, p-1)
     base = _mix(_SEED_SALT + (np.uint64(seed) + _ONE) * _GOLDEN)
-    k = max(1, min(_cpu_count(), n_paths // (2 * _FLOOR)))
+    k = max(1, min(_cpu_count(), n_paths // _MIN_SHARE))
     edges = [n_paths * i // k for i in range(k + 1)]
     out = [None] * k
 
     def run(i):
         try:
-            out[i] = _share(base, edges[i], edges[i + 1], u0, _FLOOR, *model)
+            out[i] = _share(base, edges[i], edges[i + 1], u0, *model)
         except BaseException as exc:  # raised again in the caller
             out[i] = exc
 
@@ -447,7 +506,4 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
     for res in out:
         if isinstance(res, BaseException):
             raise res
-    # the survivors of every share, in share order, finish on this thread
-    lanes = (np.concatenate(x) for x in zip(*(res[2:] for res in out)))
-    n_osc, n_claim = _advance(*lanes, *model, 0)[:2]
-    return n_osc + sum(res[0] for res in out), n_claim + sum(res[1] for res in out)
+    return sum(res[0] for res in out), sum(res[1] for res in out)

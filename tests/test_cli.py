@@ -230,10 +230,12 @@ def test_grid_jobs_print_the_frozen_bytes(argv, frozen, capsys):
     assert out == frozen
 
 
-# stdout of three theta=1 simulate jobs of the benchmark at seed 1, frozen from
-# the serial path loop; 1e5 paths is enough for the loop to run in threads
+# stdout of every simulate job of the benchmark at seed 1, frozen from the
+# event-at-a-time path loop; 1e5 paths is enough for the loop to run in threads
 SIMULATE_BYTES = {
     "sim.exp.theta1": "0.405820,0.001553,30738,9844\n",
+    "sim.exp.theta0.01.h2000": "0.978080,0.000463,62083,35725\n",
+    "sim.exp.sigma0": "0.303480,0.001454,30348,0\n",
     "sim.gamma0.5.theta1": "0.424260,0.001563,34227,8199\n",
     "sim.mix.theta1": "0.394440,0.001546,35039,4405\n",
 }

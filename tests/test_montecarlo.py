@@ -25,7 +25,7 @@ from ruinkit import (
 from ruinkit import _kernels
 from ruinkit.montecarlo import _family_code, mc_ruin_paths
 
-from _reference_kernels import _mc_ruin_paths_py
+from _reference_kernels import _gamma_mt_py, _mc_ruin_paths_py
 from conftest import MIX_RATES, MIX_WEIGHTS
 
 
@@ -170,14 +170,14 @@ def test_every_sampler_matches_the_oracle(sampler, seed, sigma, horizon, counts)
 
 
 def _serial_counts(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
-    # every lane built as one array from its path key, then one _advance
-    # with no floor: the path loop as it runs on one CPU
+    # every lane built as one array from its path key, then one _advance:
+    # the path loop as it runs on one CPU
     with np.errstate(over="ignore"):
         base = _kernels._mix(_kernels._SEED_SALT + (np.uint64(seed) + np.uint64(1)) * _kernels._GOLDEN)
         keys = base + np.arange(1, n_paths + 1, dtype=np.uint64) * _kernels._GOLDEN
     state = _kernels._mix(keys) + _kernels._GOLDEN
     lanes = (state, np.full(n_paths, u0), np.zeros(n_paths))
-    return _kernels._advance(*lanes, c, lam, sigma, horizon, family, fparams, 0)[:2]
+    return _kernels._advance(*lanes, c, lam, sigma, horizon, family, fparams)
 
 
 @pytest.mark.parametrize(
@@ -196,13 +196,65 @@ def test_counts_do_not_depend_on_the_cpu_count(sampler, sigma, monkeypatch):
     assert counts[0][1] > 0
 
 
+@pytest.mark.parametrize(
+    "args, counts",
+    [
+        # theta = 0.01: paths live for thousands of events, most of them in
+        # blocks of many events once few lanes are left
+        ((5, 20_000, 1.0, 1.01, 1.0, 1.0, 2000.0, 0, np.array([1.0])), (7180, 12361)),
+        (_oracle_case("mixture", 5, 40_000, 0.0, 50.0), (0, 21971)),
+        (_oracle_case("gamma0.5", 5, 40_000, 1.0, 2.0), (2408, 9674)),
+    ],
+    ids=["exp-theta0.01-h2000", "mixture-sigma0", "gamma0.5-h2"],
+)
+def test_counts_do_not_depend_on_the_block_size(args, counts, monkeypatch):
+    # the counts are frozen from the event-at-a-time loop; gamma claims keep
+    # one event a block whatever _BLOCK is
+    sigma, family = args[5], args[7]
+    event_draws = (4 if sigma > 0.0 else 1) + (1, 0, 2)[family]
+    rows = []  # rows of every draw; list.append is safe from the share threads
+    uniforms = _kernels._uniforms
+
+    def spy(state, m):
+        rows.append(m)
+        return uniforms(state, m)
+
+    monkeypatch.setattr(_kernels, "_uniforms", spy)
+    for block in (1, _kernels._BLOCK, 2**20):
+        monkeypatch.setattr(_kernels, "_BLOCK", block)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
+            rows.clear()
+            assert mc_ruin_paths(*args) == counts, (block, cpus)
+            if block == 1 or family == 1:
+                assert max(rows) <= event_draws
+            else:
+                assert max(rows) > event_draws  # a block of several events ran
+
+
+def test_gamma_sampler_matches_the_scalar_oracle():
+    # Marsaglia-Tsang at shape 1.5 on 20000 lanes: the cube is x * x * x, as
+    # in the oracle, so a draw differs only where numpy's log rounds apart
+    # from math.log (libm pow made 4610 of 20000 differ)
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        keys = _kernels._mix(np.arange(1, 20_001, dtype=np.uint64) * _kernels._GOLDEN)
+        state = keys + _kernels._GOLDEN
+        draws = _kernels._gamma_mt(state, 1.5)
+        oracle = [_gamma_mt_py(key, np.uint64(0), 1.5) for key in keys]
+        # where a lane ends after the oracle's draws
+        ends = np.array([key + (ctr + np.uint64(1)) * _kernels._GOLDEN for key, (_, ctr) in zip(keys, oracle)])
+    same = draws == np.array([g for g, _ in oracle])
+    assert np.count_nonzero(same) >= 0.999 * keys.size
+    assert np.array_equal(state[same], ends[same])
+
+
 @pytest.mark.parametrize("failing_share", [0, 1])
 def test_a_failing_share_raises_in_the_caller(failing_share, monkeypatch):
     advance = _kernels._advance
 
     def failing(*args):
         on_caller = threading.current_thread() is threading.main_thread()
-        if args[-1] > 0 and on_caller == (failing_share == 0):
+        if on_caller == (failing_share == 0):
             raise RuntimeError(f"share {failing_share} failed")
         return advance(*args)
 
