@@ -15,7 +15,10 @@ y[k-i]. _series_recurrence solves it in O(n log n):
   Lundberg equation a * sum kern[i] e^{b i} = 1. The tilted solution is
   nearly flat, which makes the error relative term by term; the result is
   scaled back by e^{-b k}. Tilted arrays are formed as sign * exp(log|x| +
-  b k), since e^{b k} alone leaves the float range on fine lattices.
+  b k), since e^{b k} alone leaves the float range on fine lattices;
+* the tilt and 1/D depend on a and kern alone, so a stack of right-hand
+  sides (tail of shape (r, n)) shares them; each row then runs its own head
+  loop and product and gets the bits of a one-row call.
 
 Accuracy contract: about 1e-12 relative to the term-by-term recurrence in
 every cell, down to the underflow range, when the forcing decays at least as
@@ -164,24 +167,36 @@ def _reciprocal(d, n):
 def _series_recurrence(head, tail, a, kern):
     # y = T / D truncated to n terms, with T[0] = head, T[k] = tail[k] and
     # D = 1 - a sum_{i>=1} kern[i] z^i; that is, y[0] = head and
-    # y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]
-    n = tail.shape[0]
-    y = np.zeros(n)
-    y[0] = head
-    for k in range(1, min(n, _HEAD)):
-        y[k] = tail[k] + a * np.dot(kern[1 : k + 1], y[k - 1 :: -1])
-    if n <= _HEAD:
-        return y
-    b = _lundberg_exponent(a, kern, n)
-    d = -a * _tilt(kern, b)
-    d[0] = 1.0
-    # beyond the head, y = y_head + (T - D y_head) / D, all tilted by e^{b k}
-    res = _tilt(tail[_HEAD:], b, _HEAD) - np.convolve(d, _tilt(y[:_HEAD], b))[_HEAD:n]
-    m = n - _HEAD
-    size = _fft_len(2 * m - 1)
-    corr = np.fft.irfft(np.fft.rfft(_reciprocal(d, m), size) * np.fft.rfft(res, size), size)[:m]
-    y[_HEAD:] = _tilt(corr, -b, _HEAD)
-    return y
+    # y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]. tail of shape
+    # (r, n) with head of shape (r,) solves r right-hand sides: the tilt and
+    # 1/D depend on the kernel alone and are formed once, while the head
+    # loop and the final product run a row at a time, so each row gets the
+    # same bits as a call of its own
+    rows = np.atleast_2d(tail)
+    heads = np.broadcast_to(head, rows.shape[:1])
+    n = rows.shape[1]
+    y = np.zeros(rows.shape)
+    for y_r, tail_r, head_r in zip(y, rows, heads):
+        y_r[0] = head_r
+        for k in range(1, min(n, _HEAD)):
+            y_r[k] = tail_r[k] + a * np.dot(kern[1 : k + 1], y_r[k - 1 :: -1])
+    if n > _HEAD:
+        b = _lundberg_exponent(a, kern, n)
+        d = -a * _tilt(kern, b)
+        d[0] = 1.0
+        m = n - _HEAD
+        size = _fft_len(2 * m - 1)
+        r_hat = np.fft.rfft(_reciprocal(d, m), size)
+        for y_r, tail_r in zip(y, rows):
+            # beyond the head, y = y_head + (T - D y_head) / D, all tilted by e^{b k}
+            res = _tilt(tail_r[_HEAD:], b, _HEAD) - np.convolve(d, _tilt(y_r[:_HEAD], b))[_HEAD:n]
+            # out= keeps r_hat the left operand: r_hat * <large temporary>
+            # would reuse the temporary and swap the operands, and complex
+            # products with FMA round apart in the two orders
+            res_hat = np.fft.rfft(res, size)
+            corr = np.fft.irfft(np.multiply(r_hat, res_hat, out=res_hat), size)[:m]
+            y_r[_HEAD:] = _tilt(corr, -b, _HEAD)
+    return y.reshape(np.shape(tail))
 
 
 def panjer_compound(p: np.ndarray, q: float, p_tail: np.ndarray | None = None) -> np.ndarray:
@@ -212,6 +227,10 @@ def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: floa
     """Explicit product-trapezoid march; kern[0] must be 0.
 
     psi[k] = forcing[k] + factor*h*(sum_{j=1}^{k-1} kern[j] psi[k-j] + 0.5*kern[k]*psi[0])
+
+    forcing of shape (r, n) marches r equations that share kern and factor
+    and returns their solutions as rows: the series reciprocal is formed
+    once for all of them, and each row equals its own one-row march.
     """
     forcing = np.ascontiguousarray(forcing, dtype=np.float64)
     kern = np.ascontiguousarray(kern, dtype=np.float64)
@@ -219,8 +238,8 @@ def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: floa
         raise ValueError("Volterra kernel must vanish at 0 for the explicit march")
     fh = factor * h
     # the recurrence weights the j=k end point fully; the tail takes half back
-    tail = forcing - 0.5 * fh * kern * forcing[0]
-    return _series_recurrence(forcing[0], tail, fh, kern)
+    tail = forcing - 0.5 * fh * kern * forcing[..., :1]
+    return _series_recurrence(forcing[..., 0], tail, fh, kern)
 
 
 # ---------------------------------------------------------------------------

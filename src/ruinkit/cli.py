@@ -11,6 +11,7 @@ codes 0 (success, possibly with stderr warnings), 1 (usage error),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -313,7 +314,11 @@ def _cmd_simulate(args, model, warnings):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call, not at import, and reused by every
+    # later call in the process: parse_args returns a fresh Namespace, and
+    # the config file and the defaults write only to that namespace
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", help="model spec, e.g. lambda=1,theta=0.01,sigma=1,claims=exp:rate=1")
     common.add_argument("--out", help="write CSV here instead of stdout")
@@ -434,7 +439,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (OSError, ArithmeticError, RuntimeError, ValueError) as exc:
+    except (OSError, ArithmeticError, RuntimeError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 2
     for w in warnings:

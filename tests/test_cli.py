@@ -13,7 +13,7 @@ import pytest
 
 import _reference_values as ref
 import _reference_writer
-from ruinkit import exact_ruin
+from ruinkit import cli, exact_ruin
 from ruinkit.cli import _emit_grid, main, parse_claims, parse_model
 
 EXP_MODEL = "lambda=1,theta=0.01,sigma=1,claims=exp:rate=1"
@@ -415,6 +415,22 @@ def test_unwritable_out_path_exits_2(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 4e14 and 1e14 lattice cells: numpy refuses them without allocating
+        ["decompose", "--model", EXP_MODEL, "--umax", "1e12"],
+        ["bounds", "--model", EXP_MODEL, "--u", "1e14", "--lattice", "1"],
+    ],
+    ids=["decompose", "bounds"],
+)
+def test_out_of_memory_is_a_numerical_failure(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ") and "allocate" in err
+
+
 def test_claims_parse_validation():
     with pytest.raises(Exception, match="bad claims"):
         parse_claims("exp:")
@@ -525,6 +541,45 @@ def test_config_bad_choice_exits_1(tmp_path, capsys, argv, line):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and f"bad value for {line.split('=')[0]}" in err
+
+
+def run_or_exit(argv, capsys):
+    # run_cli for calls that end in argparse's SystemExit too (--help, bad flags)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once per process; a sequence of calls through
+    # that one parser must print what a freshly built parser prints for each
+    bounds = ["bounds", "--model", EXP_MODEL, "--lattice", "0.1", "--u", "1,2"]
+    decompose = ["decompose", "--model", EXP_MODEL, "--umax", "0.5"]
+    convention = tmp_path / "convention.cfg"
+    convention.write_text("convention=published\n")
+    step = tmp_path / "step.cfg"
+    step.write_text("step=0.05\n")
+    calls = [
+        ["exact", "--model", EXP_MODEL, "--u", "1", "--frobnicate"],
+        bounds + ["--config", str(convention)],
+        decompose + ["--config", str(step)],
+        ["exact", "--help"],
+        bounds,
+        decompose,
+    ]
+    cli._build_parser.cache_clear()
+    cached = [run_or_exit(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_or_exit(argv, capsys) for argv in calls]
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [1, 0, 0, 0, 0, 0]
+    # the config values were in effect, and did not outlive their calls
+    assert cached[1] != cached[4] and cached[2] != cached[5]
 
 
 def test_out_file_matches_stdout_and_is_stable(tmp_path, capsys):

@@ -70,6 +70,21 @@ def test_division_matches_reference_loops_across_the_head(n):
     )
 
 
+@pytest.mark.parametrize("n", [40, 64, 65, 1000])
+def test_volterra_stacked_forcing_matches_row_by_row(n):
+    # one march on an (r, n) forcing shares the reciprocal of the kernel;
+    # each row is the one-row march, bit for bit, and meets the scalar loop
+    x = np.linspace(0.0, 5.0, n)
+    kern = x * np.exp(-x)
+    forcing = np.stack((np.exp(-2.0 * x), 0.3 * (1.0 + x) * np.exp(-3.0 * x)))
+    h = x[1]
+    both = volterra_march(forcing, kern, 0.9, h)
+    assert both.shape == forcing.shape
+    for row, f in zip(both, forcing):
+        assert np.array_equal(row, volterra_march(f, kern, 0.9, h))
+        np.testing.assert_allclose(row, _volterra_march_py(f, kern, 0.9, h), rtol=1e-12)
+
+
 def test_leading_terms_do_not_depend_on_length(ladder):
     p = ladder.p_lower
     x = np.linspace(0.0, 40.0, p.size)
