@@ -29,6 +29,15 @@ recurrence y[k] = r y[k-1] + (1-r) G[k] over the compound tail G, summed as
 positive terms. Flooring every summand to the lattice can only shrink the
 maximal aggregate loss, so the floored tail is a true lower bound; ceiling
 gives the upper. The acceptance sandwich checks run this convention.
+
+The lattice holds the cells a request reads and no more: by default
+ceil(u_max/w) + 1 of them, the last one the largest index a u snaps to.
+Every step is causal. Cell k of the ladder reads the ladder tail at the
+edges k and k+1, the Panjer tail at k reads cells 0..k, and the record is
+the recurrence above, its ceiling form shifted one cell up. So cells past
+the last read one change no read value beyond rounding (the division's
+tilt and FFT sizes follow the length): 2000 more cells move the bounds by
+under 1e-13 relative.
 """
 
 from __future__ import annotations
@@ -133,6 +142,10 @@ def panjer_bounds(
     curve and up for the lower curve (both curves are nonincreasing, so the
     snap preserves bound validity). Bound at lattice index k is the
     compound tail P(L > k) on the lattice.
+
+    n_points defaults to ceil(u_max/w) + 1, the cells the snapped grid
+    reads; each bound at index k depends on cells 0..k only, so a larger
+    n_points gives the same values to rounding. A smaller one is an error.
     """
     if model.sigma == 0.0:
         raise ValueError("lattice bounds require a diffusion term (sigma > 0)")
@@ -145,7 +158,7 @@ def panjer_bounds(
     u_max = float(u_arr.max()) if u_arr.size else 0.0
     need = ceil(u_max / lattice_width - 1e-12) + 1
     if n_points is None:
-        n_points = ceil(u_max / lattice_width) + 2000
+        n_points = need
     if n_points < need:
         raise ValueError(
             f"n_points={n_points} truncates below the requested range "

@@ -1,8 +1,11 @@
 """Lattice discretization bounds via the compound-geometric recursion."""
 
+from math import ceil
+
 import numpy as np
 import pytest
 
+import ruinkit.bounds
 from ruinkit import (
     Exponential,
     Gamma,
@@ -217,6 +220,59 @@ class TestSnapping:
         b = panjer_bounds(exp_model, 0.1, np.array([1.0 * (1 + 2e-10)]), convention="strict")
         assert a.lower.values[0] == b.lower.values[0]
         assert a.upper.values[0] == b.upper.values[0]
+
+
+class TestLatticeSize:
+    """The default lattice holds the cells the u grid reads and no more. Every
+    step is causal (cell k of the ladder, of the Panjer tail and of the
+    record reads only cells 0..k), so padding past the last read cell
+    changes no value beyond rounding."""
+
+    U = np.array([0.0, 0.05, 0.1, 0.33, 1.0, 2.47, 10.0, 31.4159])  # off-lattice points too
+    WIDTH = 0.1
+    NEED = ceil(31.4159 / 0.1 - 1e-12) + 1  # cells 0..315; u = 31.4159 snaps up to 315
+
+    @staticmethod
+    def spy_cells(monkeypatch):
+        cells = []
+        real = ruinkit.bounds.discretize_ladder
+
+        def spy(model, width, n_points):
+            cells.append(n_points)
+            return real(model, width, n_points)
+
+        monkeypatch.setattr(ruinkit.bounds, "discretize_ladder", spy)
+        return cells
+
+    @pytest.mark.parametrize("convention", ["published", "strict"])
+    @pytest.mark.parametrize("family", ["exp", "mixture", "gamma0.5"])
+    def test_padding_changes_nothing(self, monkeypatch, family, convention):
+        claims = {
+            "exp": Exponential(1.0),
+            "mixture": MixedExponential(MIX_WEIGHTS, MIX_RATES),
+            "gamma0.5": Gamma(0.5, 0.5),
+        }[family]
+        model = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=0.1)
+        cells = self.spy_cells(monkeypatch)
+        default = panjer_bounds(model, self.WIDTH, self.U, convention)
+        padded = panjer_bounds(model, self.WIDTH, self.U, convention, n_points=self.NEED + 2000)
+        assert cells == [self.NEED, self.NEED + 2000]
+        for got, want in ((default.lower, padded.lower), (default.upper, padded.upper)):
+            assert np.all(want.values > 0.0)
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("convention", ["published", "strict"])
+    def test_origin_and_empty_grid(self, monkeypatch, exp_model, convention):
+        cells = self.spy_cells(monkeypatch)
+        # u = 0 reads one cell; it was once padded to 2000, with the same bits
+        origin = panjer_bounds(exp_model, self.WIDTH, [0.0], convention)
+        padded = panjer_bounds(exp_model, self.WIDTH, [0.0], convention, n_points=2000)
+        assert cells == [1, 2000]
+        np.testing.assert_array_equal(origin.lower.values, padded.lower.values)
+        np.testing.assert_array_equal(origin.upper.values, padded.upper.values)
+        empty = panjer_bounds(exp_model, self.WIDTH, [], convention)
+        for curve in (empty.lower, empty.upper):
+            assert curve.u.shape == curve.values.shape == (0,)
 
 
 def test_validation(exp_model):

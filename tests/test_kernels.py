@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from ruinkit import Exponential, PerturbedModel
+from ruinkit import Exponential, Gamma, MixedExponential, PerturbedModel, _kernels
 from ruinkit._kernels import _bisect, _decay_scan
 from ruinkit.bounds import discretize_ladder, lattice_convolve, panjer_compound
 from ruinkit.exact import volterra_march
 
 from _reference_kernels import _decay_scan_py, _lattice_convolve_py, _panjer_compound_py, _volterra_march_py
+from conftest import MIX_RATES, MIX_WEIGHTS
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,11 @@ def test_volterra_matches_reference_loop():
     )
 
 
-@pytest.mark.parametrize("n", [65, 1000, 1537])
+@pytest.mark.parametrize("n", [65, 1000, 1537, 66, 128, 129, 130, 192, 193])
 def test_division_matches_reference_loops_across_the_head(n):
-    # sizes just past the exactly-solved head and with uneven Newton doubling steps
+    # sizes just past the exactly-solved head and with uneven Newton doubling
+    # steps; from 66 on, the reciprocal's n - 64 terms put its Newton levels
+    # on both sides of the 64 terms where direct products give way to FFTs
     m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.1)
     p = discretize_ladder(m, 0.1, n).p_lower
     np.testing.assert_allclose(panjer_compound(p, m.q), _panjer_compound_py(p, m.q), rtol=1e-12)
@@ -185,3 +188,41 @@ class TestBisect:
 
     def test_no_step_when_the_bracket_is_within_tol(self):
         assert _bisect(lambda x: x, -1.0, 1.0, 2.0) == (-1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("n, width", [(501, 0.1), (40001, 0.005)])
+@pytest.mark.parametrize("family", ["exp", "mixture", "gamma"])
+def test_lundberg_exponent_keeps_its_contract(monkeypatch, family, n, width):
+    # the Panjer tilt of the benchmark models' ladders (loading 0.01): below
+    # the root, within 0.1/n of it, from a tangent bracket in a few halvings
+    claims = {
+        "exp": Exponential(1.0),
+        "mixture": MixedExponential(MIX_WEIGHTS, MIX_RATES),
+        "gamma": Gamma(2.0, 2.0),
+    }[family]
+    model = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=0.01)
+    kern = discretize_ladder(model, width, n).p_lower
+    a = (1.0 - model.q) / (1.0 - (1.0 - model.q) * kern[0])  # as panjer_compound forms it
+    i = np.flatnonzero(kern[1:] > 0.0) + 1
+    logw = np.log(a) + np.log(kern[i])
+
+    def log_mass(b):
+        v = logw + b * i
+        return v.max() + np.log(np.exp(v - v.max()).sum())
+
+    evaluations = []
+
+    def spy(f, lo, hi, tol):
+        def counted(b):
+            evaluations.append(b)
+            return f(b)
+
+        return _bisect(counted, lo, hi, tol)
+
+    monkeypatch.setattr(_kernels, "_bisect", spy)
+    b = _kernels._lundberg_exponent(a, kern, n)
+    # the log-mass at 0, with its slope, is one evaluation before the halvings
+    assert 1 + len(evaluations) <= 8
+    assert log_mass(b) < 0.0
+    root = _bisect(log_mass, 0.0, float(np.min(-logw / i)), 0.0)[1]
+    assert 0.0 < root - b <= 0.1 / n
