@@ -7,11 +7,16 @@ y[k-i]. _series_recurrence solves it in O(n log n):
 
 * the first 64 terms come from that recurrence term by term, so they are
   exact and do not depend on n (for n <= 64 the loop is all there is);
-* beyond them, the reciprocal 1/D comes from Newton doubling with real-FFT
-  products (Brent & Kung 1978; Hairer, Lubich & Schlichte 1985 for the
-  Volterra case), and y gains 1/D times the residual T - D * y_head. The
-  Newton levels of at most 64 terms form their products with np.convolve,
-  where five FFT calls would each cost more than the whole product;
+* beyond them, y gains res / D to the remaining m = n - 64 terms, res the
+  residual T - D * y_head. The reciprocal 1/D comes from Newton doubling
+  with real-FFT products (Brent & Kung 1978; Hairer, Lubich & Schlichte 1985
+  for the Volterra case), but only to h = ceil(m/2) terms: one
+  Karp-Markstein step (1997) takes the quotient from there, q0 = (1/D) res
+  to h terms, then (1/D) (res - D q0) for the other m - h. Each Newton level
+  is that step with T = 1. No transform is longer than _fft_len(m), where a
+  full product of 1/D to m terms with res would need twice that. Steps of
+  at most 64 terms form their products with np.convolve, where the FFT
+  calls would each cost more than the whole product;
 * an FFT product is accurate only relative to its largest term, so both
   series are first tilted by e^{b k}, with b >= 0 the root of the lattice
   Lundberg equation a * sum kern[i] e^{b i} = 1. The tilted solution is
@@ -21,9 +26,10 @@ y[k-i]. _series_recurrence solves it in O(n log n):
   needs to hold only to 0.1/n. It is bisected on [0, t], where t is the
   zero of the tangent at 0 of the convex log-mass and so lies at or past
   the root: a few halvings at small loadings;
-* the tilt and 1/D depend on a and kern alone, so a stack of right-hand
-  sides (tail of shape (r, n)) shares them; each row then runs its own head
-  loop and product and gets the bits of a one-row call.
+* the tilt, 1/D and the transforms of 1/D and D depend on a and kern
+  alone, so a stack of right-hand sides (tail of shape (r, n)) shares them;
+  each row then runs its own head loop and three products and gets the bits
+  of a one-row call.
 
 Accuracy contract: about 1e-12 relative to the term-by-term recurrence in
 every cell, down to the underflow range, when the forcing decays at least as
@@ -101,9 +107,10 @@ _HEAD = 64  # leading terms solved exactly by the term-by-term loop
 
 
 def _fft_len(m):
-    # smallest 2^k or 3 * 2^k not below m: fast FFT sizes with little padding
+    # smallest 2^k, 3 * 2^(k-2) or 5 * 2^(k-3) not below m: fast FFT sizes
+    # with at most 20% padding past 8 points
     p = 1 << max(m - 1, 0).bit_length()
-    return 3 * p // 4 if 3 * p // 4 >= m else p
+    return next(size for size in (5 * p // 8, 3 * p // 4, p) if size >= m)
 
 
 def _tilt(x, b, start=0):
@@ -159,11 +166,26 @@ def _lundberg_exponent(a, kern, n):
     return _bisect(log_mass, 0.0, hi, 0.1 / n)[0]
 
 
+def _times(left, x, size):
+    # x times a series at hand: np.convolve with its coefficients left when
+    # size is None (x is empty only past a one-term step), else a cyclic
+    # product of length size with its transform left. out= keeps left the
+    # left operand: left * <large temporary> would reuse the temporary and
+    # swap the operands, and complex products with FMA round apart in the
+    # two orders
+    if size is None:
+        return np.convolve(x, left) if x.size else x
+    x_hat = np.fft.rfft(x, size)
+    return np.fft.irfft(np.multiply(left, x_hat, out=x_hat), size)
+
+
 def _reciprocal(d, n):
-    # first n terms of 1/d(z), d[0] = 1: Newton doubling r <- r - r (d r - 1).
-    # A level of at most _HEAD terms forms its two products with np.convolve:
-    # two short direct calls cost less than five FFTs
-    rfft, irfft = np.fft.rfft, np.fft.irfft
+    # first n terms of 1/d(z), d[0] = 1: Newton doubling r <- r - r (d r - 1)
+    # (Brent & Kung 1978). A level to m2 terms is cyclic of length
+    # _fft_len(m2): d r = 1 + O(z^m), terms m..m2-1 are the error, and the
+    # wrap-around lands below m where nothing is read. A level of at most
+    # _HEAD terms forms its two products with np.convolve: two short direct
+    # calls cost less than five FFTs
     sizes = []
     while n > 1:
         sizes.append(n)
@@ -171,16 +193,10 @@ def _reciprocal(d, n):
     r = np.ones(1)
     for m2 in reversed(sizes):
         m = r.size
-        if m2 <= _HEAD:
-            err = np.convolve(d[:m2], r)[m:m2]
-            r = np.concatenate((r, -np.convolve(err, r)[: m2 - m]))
-            continue
-        size = _fft_len(m2)
-        r_hat = rfft(r, size)
-        # d r = 1 + O(z^m); terms m..m2-1 are the error, and the cyclic
-        # wrap-around of the product lands below m where nothing is read
-        err = irfft(rfft(d[:m2], size) * r_hat, size)[m:m2]
-        r = np.concatenate((r, -irfft(rfft(err, size) * r_hat, size)[: m2 - m]))
+        size = None if m2 <= _HEAD else _fft_len(m2)
+        r_op = r if size is None else np.fft.rfft(r, size)
+        err = _times(r_op, d[:m2], size)[m:m2]
+        r = np.concatenate((r, -_times(r_op, err, size)[: m2 - m]))
     return r
 
 
@@ -188,10 +204,10 @@ def _series_recurrence(head, tail, a, kern):
     # y = T / D truncated to n terms, with T[0] = head, T[k] = tail[k] and
     # D = 1 - a sum_{i>=1} kern[i] z^i; that is, y[0] = head and
     # y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]. tail of shape
-    # (r, n) with head of shape (r,) solves r right-hand sides: the tilt and
-    # 1/D depend on the kernel alone and are formed once, while the head
-    # loop and the final product run a row at a time, so each row gets the
-    # same bits as a call of its own
+    # (r, n) with head of shape (r,) solves r right-hand sides: the tilt,
+    # 1/D and the transforms of both are formed once, while the head loop
+    # and the quotient's three products run a row at a time, so each row
+    # gets the same bits as a call of its own
     rows = np.atleast_2d(tail)
     heads = np.broadcast_to(head, rows.shape[:1])
     n = rows.shape[1]
@@ -204,18 +220,23 @@ def _series_recurrence(head, tail, a, kern):
         b = _lundberg_exponent(a, kern, n)
         d = -a * _tilt(kern, b)
         d[0] = 1.0
+        # beyond the head, y = y_head + res / D with res = T - D y_head, all
+        # tilted by e^{b k}, to m more terms. One Karp-Markstein step (1997)
+        # on 1/D to h = ceil(m/2) terms: q0 = (1/D) res to h terms, then
+        # (1/D) (res - D q0)[h:m] for the rest. Each product is cyclic of
+        # length _fft_len(m): (1/D) x has at most 2h - 1 <= m terms, and the
+        # wrap-around of D q0 lands below h, where nothing is read. A step of
+        # at most _HEAD terms takes direct products, as in _reciprocal
         m = n - _HEAD
-        size = _fft_len(2 * m - 1)
-        r_hat = np.fft.rfft(_reciprocal(d, m), size)
+        h = (m + 1) // 2
+        size = None if m <= _HEAD else _fft_len(m)
+        r = _reciprocal(d, h)
+        r_op, d_op = (r, d[:m]) if size is None else (np.fft.rfft(r, size), np.fft.rfft(d[:m], size))
         for y_r, tail_r in zip(y, rows):
-            # beyond the head, y = y_head + (T - D y_head) / D, all tilted by e^{b k}
             res = _tilt(tail_r[_HEAD:], b, _HEAD) - np.convolve(d, _tilt(y_r[:_HEAD], b))[_HEAD:n]
-            # out= keeps r_hat the left operand: r_hat * <large temporary>
-            # would reuse the temporary and swap the operands, and complex
-            # products with FMA round apart in the two orders
-            res_hat = np.fft.rfft(res, size)
-            corr = np.fft.irfft(np.multiply(r_hat, res_hat, out=res_hat), size)[:m]
-            y_r[_HEAD:] = _tilt(corr, -b, _HEAD)
+            q0 = _times(r_op, res[:h], size)[:h]
+            rest = _times(r_op, res[h:] - _times(d_op, q0, size)[h:m], size)[: m - h]
+            y_r[_HEAD:] = _tilt(np.concatenate((q0, rest)), -b, _HEAD)
     return y.reshape(np.shape(tail))
 
 

@@ -56,11 +56,13 @@ def test_volterra_matches_reference_loop():
     )
 
 
-@pytest.mark.parametrize("n", [65, 1000, 1537, 66, 128, 129, 130, 192, 193])
+@pytest.mark.parametrize("n", [65, 1000, 1537, 66, 128, 129, 130, 192, 193, 191, 194])
 def test_division_matches_reference_loops_across_the_head(n):
     # sizes just past the exactly-solved head and with uneven Newton doubling
-    # steps; from 66 on, the reciprocal's n - 64 terms put its Newton levels
-    # on both sides of the 64 terms where direct products give way to FFTs
+    # steps; from 66 on, the reciprocal's Newton levels fall on both sides of
+    # the 64 terms where direct products give way to FFTs. At 191 and 194 the
+    # quotient's m = n - 64 terms (odd, then even) split at h = ceil(m / 2) =
+    # 64, then 65, on either side of that limit
     m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.1)
     p = discretize_ladder(m, 0.1, n).p_lower
     np.testing.assert_allclose(panjer_compound(p, m.q), _panjer_compound_py(p, m.q), rtol=1e-12)
@@ -73,10 +75,11 @@ def test_division_matches_reference_loops_across_the_head(n):
     )
 
 
-@pytest.mark.parametrize("n", [40, 64, 65, 1000])
+@pytest.mark.parametrize("n", [40, 64, 65, 1000, 40001])
 def test_volterra_stacked_forcing_matches_row_by_row(n):
     # one march on an (r, n) forcing shares the reciprocal of the kernel;
     # each row is the one-row march, bit for bit, and meets the scalar loop
+    # where that O(n^2) python loop is affordable
     x = np.linspace(0.0, 5.0, n)
     kern = x * np.exp(-x)
     forcing = np.stack((np.exp(-2.0 * x), 0.3 * (1.0 + x) * np.exp(-3.0 * x)))
@@ -85,7 +88,8 @@ def test_volterra_stacked_forcing_matches_row_by_row(n):
     assert both.shape == forcing.shape
     for row, f in zip(both, forcing):
         assert np.array_equal(row, volterra_march(f, kern, 0.9, h))
-        np.testing.assert_allclose(row, _volterra_march_py(f, kern, 0.9, h), rtol=1e-12)
+        if n <= 1000:
+            np.testing.assert_allclose(row, _volterra_march_py(f, kern, 0.9, h), rtol=1e-12)
 
 
 def test_leading_terms_do_not_depend_on_length(ladder):
@@ -118,6 +122,56 @@ def test_panjer_deep_tail_matches_closed_form():
     np.testing.assert_allclose(g[big], exact[big], rtol=1e-12)
     assert np.all(np.isfinite(g))
     assert np.all((g[~big] >= 0.0) & (g[~big] <= 1e-290))
+
+
+def test_panjer_lattice_size_matches_closed_form():
+    # the geometric ladder of test_panjer_deep_tail_matches_closed_form at
+    # the size of the benchmark's fine lattices, where the quotient's
+    # Karp-Markstein step and its 5 * 2^k transforms run: 40001 cells,
+    # too many for the O(n^2) scalar loop
+    q, rho = 0.01, 0.99
+    n = 40001
+    k = np.arange(1, n)
+    p = np.zeros(n)
+    p[1:] = (1.0 - rho) * rho ** (k - 1.0)
+    s = rho + (1.0 - q) * (1.0 - rho)
+    exact = np.concatenate(([q], q * (1.0 - q) * (1.0 - rho) * s ** (k - 1.0)))
+    np.testing.assert_allclose(panjer_compound(p, q), exact, rtol=1e-12)
+
+
+def test_fft_len_is_the_smallest_fast_size():
+    sizes = np.unique([c << a for c in (1, 3, 5) for a in range(19)])
+    m = np.arange(1, 2**17 + 1)
+    expected = sizes[np.searchsorted(sizes, m)]
+    assert [_kernels._fft_len(int(i)) for i in m] == expected.tolist()
+
+
+def test_division_transforms_no_longer_than_the_quotient(monkeypatch):
+    # the quotient beyond the head has m = n - 64 terms: no product is
+    # longer than _fft_len(m), none of the double length 2m - 1
+    model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.01)
+    n = 40001
+    lad = discretize_ladder(model, 0.005, n)
+    x = np.linspace(0.0, 200.0, n)
+    forcing = np.stack((np.exp(-2.0 * x), 0.3 * (1.0 + x) * np.exp(-3.0 * x)))
+    lengths = []
+
+    def spy(transform):
+        def call(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return transform(a, n, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", spy(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", spy(np.fft.irfft))
+    limit = _kernels._fft_len(n - 64)
+    panjer_compound(lad.p_lower, model.q)
+    assert lengths and max(lengths) == limit
+    lengths.clear()
+    volterra_march(forcing, x * np.exp(-x), 0.9, x[1])
+    assert lengths and max(lengths) == limit
+    assert limit == 40960  # 5 * 2^13; the smallest 2^k or 3 * 2^k is 49152
 
 
 def _scan_cases():
