@@ -50,8 +50,11 @@ class FitInfeasibleError(RuntimeError):
 
 def _exponential_sum(amps, rates, u) -> float | np.ndarray:
     """sum_k amps[k] * exp(-rates[k] * u): a float for scalar or 0-d u, an
-    array of u's shape otherwise."""
+    array of u's shape otherwise. Raises ValueError unless every u is
+    finite and nonnegative."""
     u_arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
+        raise ValueError("u must be finite and nonnegative")
     vals = sum(a * np.exp(-r * u_arr) for a, r in zip(amps, rates))
     return float(vals) if u_arr.ndim == 0 else vals
 

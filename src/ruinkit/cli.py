@@ -11,6 +11,7 @@ codes 0 (success, possibly with stderr warnings), 1 (usage error),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import sys
 
@@ -420,7 +421,44 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _pin_allocator() -> None:
+    # glibc serves each block of 128 KB or more (a 40001-cell array is
+    # 320 KB) from a fresh mmap, or trims the heap top once it is freed, so
+    # the next lattice temporary of that size faults in zero-filled pages
+    # again. Pinning both thresholds keeps freed blocks in the heap for
+    # reuse. Both or neither: pinning one alone turns glibc's dynamic
+    # adjustment off and runs slower than the default. Without mallopt
+    # (macOS, Windows, no libc handle) this does nothing.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    # M_MMAP_THRESHOLD (-3) at 32 MiB, the ceiling of glibc's own dynamic
+    # threshold on 64-bit; then M_TRIM_THRESHOLD (-1) at twice that, the
+    # ratio glibc's own rule keeps; then M_ARENA_MAX (-8) at 1. Untrimmed,
+    # every arena keeps its pages for good, and a Monte Carlo share thread
+    # that starts before the last one has handed back its arena (thread exit
+    # runs on after join returns) would open a new arena, and whether a
+    # whole share's pages (about 6 MB at 1e5 paths) stay resident would turn
+    # on thread timing. numpy allocates and frees under the GIL, so one
+    # arena costs no contention
+    if mallopt(-3, 32 << 20) == 1:
+        mallopt(-1, 64 << 20)
+        mallopt(-8, 1)
+
+
 def main(argv=None) -> int:
+    """Run one command; returns the exit code (0 success, 1 usage error,
+    2 numerical failure).
+
+    The first call in a process pins glibc's malloc thresholds (mmap at
+    32 MiB, trim at 64 MiB) so freed lattice temporaries are reused from
+    the heap, not faulted in anew, and caps malloc at one arena so the
+    memory kept does not depend on thread timing; this changes no output.
+    Later calls reuse the pin and the parser built by the first.
+    """
+    _pin_allocator()
     parser = _build_parser()
     args = parser.parse_args(argv)
     warnings: list[str] = []

@@ -100,10 +100,10 @@ class PerturbedModel:
         3*sigma^4*t^2 is added (adding it would double count: the fourth
         central moment of any Levy increment is kappa4 + 3*kappa2^2).
         """
-        if t <= 0.0:
-            raise ValueError("t must be positive")
-        if u < 0.0:
-            raise ValueError("u must be nonnegative")
+        if not 0.0 < t < np.inf:
+            raise ValueError("t must be finite and positive")
+        if not 0.0 <= u < np.inf:
+            raise ValueError("u must be finite and nonnegative")
         m = [self.claims.raw_moment(k) for k in range(1, 6)]
         lt = self.lam * t
         nu2 = lt * m[1] + self.sigma**2 * t

@@ -1,9 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ruinkit
 from ruinkit import Exponential, Gamma, MixedExponential, PerturbedModel
 
 MIX_WEIGHTS = (0.8881815, 0.1078392, 0.0039793)
 MIX_RATES = (5.514588, 0.190206, 0.014631)
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter on this checkout's package."""
+    src = str(Path(ruinkit.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return out.stdout
 
 
 @pytest.fixture

@@ -246,6 +246,10 @@ def test_closed_form_follows_the_shape_of_u(name, mix_model):
         got = curve(mix_model, u)
         assert isinstance(got, np.ndarray) and got.shape == u.shape
         np.testing.assert_array_equal(got, pointwise.reshape(u.shape))
+    # and it takes no u that the exact curve and the bounds refuse
+    for bad in (-1.0, -1e-300, np.nan, np.inf, -np.inf, np.array([1.0, np.nan]), np.array([[2.0], [-1.0]])):
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            curve(mix_model, bad)
 
 
 def test_relative_error():

@@ -1,10 +1,6 @@
 """Claim distribution families: moments, transforms, ladder-height cdfs."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from ruinkit import Exponential, Gamma, MixedExponential
 from ruinkit.cli import main
 
 import _reference_ladder as ref
-from conftest import MIX_RATES, MIX_WEIGHTS
+from conftest import MIX_RATES, MIX_WEIGHTS, run_fresh
 
 
 class TestExponential:
@@ -398,21 +394,11 @@ class TestLadderGenericPath:
         # none is needed to import the CLI, and each costs every call a
         # share of its start-up time
         code = f"import sys, ruinkit.cli; print({module!r} in sys.modules)"
-        assert _run_fresh(code).strip() == "False"
+        assert run_fresh(code).strip() == "False"
 
 
 GAMMA_BOUNDS = ["bounds", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2.5,rate=2",
                 "--lattice", "0.05", "--u", "0,1,5,20"]
-
-
-def _run_fresh(code: str) -> str:
-    """stdout of `code` run in a new interpreter on this checkout's package."""
-    src = str(Path(ruinkit.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    return out.stdout
 
 
 class TestScipyLoadedByGammaOnly:
@@ -428,7 +414,7 @@ class TestScipyLoadedByGammaOnly:
             "        assert ruinkit.cli.main(argv) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        assert _run_fresh(code).strip() == "[]"
+        assert run_fresh(code).strip() == "[]"
 
     def test_gamma_job_in_fresh_interpreter_matches_in_process(self, capsys):
         # the first tail evaluation loads scipy.special; the numbers are the
@@ -439,7 +425,7 @@ class TestScipyLoadedByGammaOnly:
             f"assert ruinkit.cli.main({GAMMA_BOUNDS!r}) == 0\n"
             "assert 'scipy.special' in sys.modules\n"
         )
-        fresh = _run_fresh(code)
+        fresh = run_fresh(code)
         assert main(GAMMA_BOUNDS) == 0
         in_process = capsys.readouterr().out
         assert fresh == in_process

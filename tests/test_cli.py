@@ -4,6 +4,7 @@ exit codes, config layering, and byte-level determinism."""
 import csv
 import io
 import json
+import platform
 import runpy
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import pytest
 
 import _reference_values as ref
 import _reference_writer
+from conftest import run_fresh
 from ruinkit import cli, exact_ruin
 from ruinkit.cli import _emit_grid, main, parse_claims, parse_model
 
@@ -580,6 +582,114 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
     assert [rc for rc, _, _ in cached] == [1, 0, 0, 0, 0, 0]
     # the config values were in effect, and did not outlive their calls
     assert cached[1] != cached[4] and cached[2] != cached[5]
+
+
+def test_allocator_is_pinned_by_main_not_by_import():
+    code = (
+        "import contextlib, io, ruinkit.cli as cli\n"
+        "print(cli._pin_allocator.cache_info().currsize)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main(['coef', '--model', {EXP_MODEL!r}])\n"
+        "print(cli._pin_allocator.cache_info().currsize)\n"
+    )
+    assert run_fresh(code).split() == ["0", "1"]
+
+
+@pytest.fixture
+def fresh_pin():
+    cli._pin_allocator.cache_clear()
+    yield cli._pin_allocator
+    cli._pin_allocator.cache_clear()
+
+
+@pytest.mark.parametrize("first_rc, expected", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)]),
+    (0, [(-3, 32 << 20)]),
+])
+def test_allocator_pin_sets_both_thresholds_or_neither(fresh_pin, monkeypatch, first_rc, expected):
+    # the trim threshold is set only once the mmap threshold took: either
+    # alone turns off glibc's dynamic adjustment; the one arena only
+    # matters once nothing is trimmed
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return first_rc
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    fresh_pin()
+    fresh_pin()
+    assert calls == expected
+
+
+def _no_libc(exc_type):
+    def cdll(name):
+        raise exc_type("no libc handle")
+    return cdll
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [_no_libc(OSError), _no_libc(TypeError), lambda name: SimpleNamespace()],
+    ids=["dlopen-fails", "no-handle-for-None", "no-mallopt"],
+)
+def test_missing_mallopt_changes_no_output(fresh_pin, monkeypatch, capsys, cdll):
+    argv = ["bounds", "--model", EXP_MODEL, "--lattice", "0.05", "--u", "0,1,5,20"]
+    pinned = run_cli(argv, capsys)
+    fresh_pin.cache_clear()
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert run_cli(argv, capsys) == pinned
+    assert pinned[0] == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_a_repeated_lattice_job_reuses_its_pages():
+    # unpinned, every repeat of this job faults in about 8900 fresh pages:
+    # each 40001-cell temporary comes from a new mmap or a trimmed heap top
+    (argv,) = [job.argv for job in runpy.run_path(str(PERFBENCH / "jobs.py"))["jobs_for"]("lattice", 0)
+               if job.name == "bounds.strict.exp.w0.005"]
+    code = (
+        "import contextlib, io, resource, ruinkit.cli as cli\n"
+        "def faults():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "    before = faults()\n"
+        f"    assert cli.main({list(argv)!r}) == 0\n"
+        "print(faults() - before)\n"
+    )
+    assert int(run_fresh(code)) < 1000
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc arenas are glibc's")
+def test_threads_allocate_in_one_arena_once_pinned(tmp_path):
+    # untrimmed, each extra arena keeps its pages for good; two threads
+    # alive and allocating at once would open two, one each, unpinned
+    report = tmp_path / "malloc_info.xml"
+    code = (
+        "import contextlib, ctypes, io, threading, numpy as np, ruinkit.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cli.main(['coef', '--model', {EXP_MODEL!r}])\n"
+        "gate = threading.Barrier(3)\n"
+        "def work():\n"
+        "    gate.wait()\n"
+        "    block = np.ones(1 << 17)\n"
+        "    gate.wait()\n"
+        "threads = [threading.Thread(target=work) for _ in range(2)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "gate.wait()\n"
+        "gate.wait()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "libc = ctypes.CDLL(None)\n"
+        "libc.fopen.restype = ctypes.c_void_p\n"
+        f"fp = ctypes.c_void_p(libc.fopen({str(report).encode()!r}, b'w'))\n"
+        "libc.malloc_info(0, fp)\n"
+        "libc.fclose(fp)\n"
+    )
+    run_fresh(code)
+    assert report.read_text().count("<heap nr=") == 1
 
 
 def test_out_file_matches_stdout_and_is_stable(tmp_path, capsys):

@@ -130,6 +130,13 @@ def test_central_moments_validation(exp_model):
         exp_model.central_moments(1.0, 0.0)
     with pytest.raises(ValueError):
         exp_model.central_moments(-1.0, 1.0)
+    # NaN fails every comparison, so `t <= 0` and `u < 0` let it through
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite and positive"):
+            exp_model.central_moments(1.0, t)
+    for u in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="u must be finite and nonnegative"):
+            exp_model.central_moments(u, 1.0)
 
 
 def test_levy_exponent_spot(exp_model):
