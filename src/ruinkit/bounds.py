@@ -30,14 +30,14 @@ positive terms. Flooring every summand to the lattice can only shrink the
 maximal aggregate loss, so the floored tail is a true lower bound; ceiling
 gives the upper. The acceptance sandwich checks run this convention.
 
-The lattice holds the cells a request reads and no more: by default
-ceil(u_max/w) + 1 of them, the last one the largest index a u snaps to.
+The lattice holds the cells a request reads and no more: ceil(u_max/w) + 1
+of them, the last one the largest index a u snaps to.
 Every step is causal. Cell k of the ladder reads the ladder tail at the
 edges k and k+1, the Panjer tail at k reads cells 0..k, and the record is
 the recurrence above, its ceiling form shifted one cell up. So cells past
 the last read one change no read value beyond rounding (the division's
-tilt and FFT sizes follow the length): 2000 more cells move the bounds by
-under 1e-13 relative.
+tilt and FFT sizes follow the length): a grid point 2000 cells further out
+moves the bounds at the others by under 1e-13 relative.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ def panjer_bounds(
     lattice_width: float,
     u_grid,
     convention: str = "published",
-    n_points: int | None = None,
 ) -> BoundPair:
     """Lower/upper bound curves at the given u values.
 
@@ -143,9 +142,10 @@ def panjer_bounds(
     snap preserves bound validity). Bound at lattice index k is the
     compound tail P(L > k) on the lattice.
 
-    n_points defaults to ceil(u_max/w) + 1, the cells the snapped grid
-    reads; each bound at index k depends on cells 0..k only, so a larger
-    n_points gives the same values to rounding. A smaller one is an error.
+    The lattice holds ceil(u_max/w) + 1 cells, the ones the snapped grid
+    reads; each bound at index k depends on cells 0..k only, so a longer
+    lattice, asked for by a larger u in the grid, gives the same values at
+    the other points to rounding.
     """
     if model.sigma == 0.0:
         raise ValueError("lattice bounds require a diffusion term (sigma > 0)")
@@ -156,14 +156,7 @@ def panjer_bounds(
         raise ValueError(f"unknown convention {convention!r}")
     _check_width(lattice_width)
     u_max = float(u_arr.max()) if u_arr.size else 0.0
-    need = ceil(u_max / lattice_width - 1e-12) + 1
-    if n_points is None:
-        n_points = need
-    if n_points < need:
-        raise ValueError(
-            f"n_points={n_points} truncates below the requested range "
-            f"(need at least {need} cells for u_max={u_max})"
-        )
+    n_points = ceil(u_max / lattice_width - 1e-12) + 1
 
     # the published parameter loading/(1-loading) is a probability only below 1/2
     if convention == "published" and not model.loading < 0.5:

@@ -29,7 +29,6 @@ from .montecarlo import SimConfig, simulate_ruin
 __all__ = ["main", "parse_model", "parse_claims"]
 
 _TABLE_METHODS = ("exact", "dg", "4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
-_CHOICES = {"inversion": ("talbot", "euler"), "convention": ("strict", "published")}
 # flag defaults, filled once the config file has had its turn: a flag with an
 # argparse default would look set, and the file could never fill it
 _DEFAULTS = {"precision": 6, "inversion": "talbot", "convention": "strict", "step": 0.01}
@@ -341,7 +340,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("exact", parents=[common])
     sp.add_argument("--u")
-    sp.add_argument("--inversion", choices=_CHOICES["inversion"], help="default talbot")
+    sp.add_argument("--inversion", choices=("talbot", "euler"), help="default talbot")
     sp.add_argument("--degree", type=int)
 
     sp = sub.add_parser("approx", parents=[common])
@@ -352,7 +351,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("bounds", parents=[common])
     sp.add_argument("--u")
     sp.add_argument("--lattice", type=float)
-    sp.add_argument("--convention", choices=_CHOICES["convention"], help="default strict")
+    sp.add_argument("--convention", choices=("strict", "published"), help="default strict")
 
     sub.add_parser("coef", parents=[common])
 
@@ -368,23 +367,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_CASTS = {
-    "precision": int,
-    "lattice": float,
-    "umax": float,
-    "step": float,
-    "horizon": float,
-    "paths": int,
-    "seed": int,
-    "u_scalar": float,
-    "degree": int,
-}
+def _flag_actions(command: str) -> dict:
+    """dest -> the argparse action that declares that flag of a subcommand."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
 
 
 def _apply_config(args) -> None:
-    """Fill unset args from a flat key=value file; explicit flags win."""
+    """Fill unset args from a flat key=value file; explicit flags win. A
+    value is cast and checked by its flag's own argparse type and choices."""
     if not getattr(args, "config", None):
         return
+    actions = _flag_actions(args.command)
     with open(args.config) as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -399,11 +393,11 @@ def _apply_config(args) -> None:
             if not hasattr(args, key):
                 raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
             if getattr(args, key) is None:
-                cast = _CONFIG_CASTS.get(key, str)
+                action = actions[key]
                 try:
-                    value = cast(val.strip())
-                    if key in _CHOICES and value not in _CHOICES[key]:
-                        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(_CHOICES[key])})")
+                    value = (action.type or str)(val.strip())
+                    if action.choices is not None and value not in action.choices:
+                        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
                 except ValueError as exc:
                     raise UsageError(f"{args.config}:{line_no}: bad value for {key}: {exc}") from exc
                 setattr(args, key, value)

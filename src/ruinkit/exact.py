@@ -18,6 +18,7 @@ ladder tail and the record tail, not as a difference of two CDFs near 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import floor
 
 import numpy as np
 
@@ -101,7 +102,8 @@ def exact_ruin(
 def decompose_ruin(
     model: PerturbedModel, u_max: float, step: float = 0.01, refine: int = 4
 ) -> DecompositionCurves:
-    """Solve the two renewal equations on the grid 0, step, ..., u_max.
+    """Solve the two renewal equations on the grid 0, step, 2 step, ...,
+    up to the largest multiple of step not above u_max (to 1e-12 relative).
 
     The march runs internally at step/refine and is subsampled back; the
     trapezoid error is O(h^2), so refine=4 buys a 16x accuracy factor. The
@@ -120,7 +122,9 @@ def decompose_ruin(
     if tau * h >= 1.0:
         raise ValueError("step too coarse: tau * step / refine must be < 1")
     q = model.q
-    n_out = int(round(u_max / step)) + 1
+    # a relative tolerance: the few ulp of rounding in u_max/step pass an
+    # absolute 1e-12 beyond about 10^4 steps (218.64/0.01 = 21863.999999999996)
+    n_out = floor(u_max / step * (1.0 + 1e-12)) + 1
     n = (n_out - 1) * refine + 1
     grid = np.arange(n) * h
     h1_tail = np.exp(-tau * grid)  # 1 - H1

@@ -14,7 +14,8 @@ The module also exposes the transforms every solver consumes: the central
 moments of V(t), the Levy exponent of the net-drift process (whose root at
 -R defines the adjustment coefficient R), the Laplace transform Psi* of the
 ultimate ruin probability (Pollaczek-Khinchine form), and the MGF of the
-maximal aggregate loss L, which is 1 + r Psi*(-r) for every sigma >= 0.
+maximal aggregate loss L, 1 + r Psi*(-r) for every sigma >= 0, taken as the
+equal quotient -rho r / levy_exponent(-r).
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ class PerturbedModel:
     def rho(self) -> float:
         return self.c * self.q
 
-    def derive_params(self) -> tuple[float, float, float, float]:
-        """(c, q, tau, rho)."""
-        return self.c, self.q, self.tau, self.rho
-
     # -- moments of the surplus at a fixed time -------------------------------
 
     def central_moments(self, u: float, t: float) -> CentralMoments:
@@ -154,26 +151,26 @@ class PerturbedModel:
     def mgf_max_loss(self, r: float) -> float:
         """MGF E[e^{rL}] of the maximal aggregate loss L = sup_t (loss process).
 
-        1 + r Psi*(-r) for every sigma >= 0, since psi(u) = P(L > u); exactly
-        1 at r = 0. For r < 0 that sum cancels as s Psi*(s) -> 1, so it is
-        taken in the equal quotient -rho r / levy_exponent(-r) of positive
-        terms. It is finite for r below the adjustment coefficient R, where
-        levy_exponent(-r) < 0, and a ValueError at or beyond R.
+        The Pollaczek-Khinchine quotient -rho r / levy_exponent(-r): equal to
+        1 + r Psi*(-r) for every sigma >= 0, as psi(u) = P(L > u), but with
+        no cancellation on either side of r = 0, where it is exactly 1.
+        Finite exactly below the adjustment coefficient R, where
+        r * levy_exponent(-r) < 0, and a ValueError at or beyond R.
         """
+        from .coefficients import adjustment_coefficient  # coefficients imports this module
+
         if r == 0.0:
             return 1.0
-        if r < 0.0:
-            return -self.rho * r / self.levy_exponent(-r)
-        # R is where levy_exponent(-r) turns positive; the pole of Psi*(-r)
-        # lies within a few ulp of it, on either side, so the value is checked too
-        if r < self.claims.mgf_sup and self.levy_exponent(-r) < 0.0:
-            value = 1.0 + r * self.pk_transform(-r)
-            if value > 1.0:
-                return value
-        raise ValueError(
-            f"maximal-loss MGF diverges at r={r!r} (argument at or beyond "
-            "the adjustment coefficient)"
-        )
+        g = np.nan
+        if r < 0.0 or 0.0 < r < adjustment_coefficient(self).R:
+            g = self.levy_exponent(-r)
+        # also rejects NaN, and the few ulp below R where the sign of g is rounding noise
+        if not r * g < 0.0:
+            raise ValueError(
+                f"maximal-loss MGF diverges at r={r!r} (argument at or beyond "
+                "the adjustment coefficient)"
+            )
+        return -self.rho * r / g
 
     def mean_max_loss(self) -> float:
         """E[L] = (sigma^2 + lam*mu2) / (2 c q), the integral of the ruin curve."""

@@ -197,7 +197,7 @@ def test_tail_series_matches_pmf_partial_sums(family, loading, convention):
     }[family]
     model = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=loading)
     width, n = 0.25, 400
-    pair = panjer_bounds(model, width, width * np.arange(n), convention=convention, n_points=n)
+    pair = panjer_bounds(model, width, width * np.arange(n), convention=convention)
     for new, old in zip((pair.lower.values, pair.upper.values), _pmf_partial_sum_tails(model, width, n, convention)):
         keep = old > 1e-12
         assert keep.sum() > 100
@@ -255,21 +255,23 @@ class TestLatticeSize:
         model = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=0.1)
         cells = self.spy_cells(monkeypatch)
         default = panjer_bounds(model, self.WIDTH, self.U, convention)
-        padded = panjer_bounds(model, self.WIDTH, self.U, convention, n_points=self.NEED + 2000)
+        # one more grid point, 2000 cells past the last one: a longer lattice
+        padded_u = np.append(self.U, (self.NEED + 1999) * self.WIDTH)
+        padded = panjer_bounds(model, self.WIDTH, padded_u, convention)
         assert cells == [self.NEED, self.NEED + 2000]
         for got, want in ((default.lower, padded.lower), (default.upper, padded.upper)):
             assert np.all(want.values > 0.0)
-            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.values, want.values[:-1], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("convention", ["published", "strict"])
     def test_origin_and_empty_grid(self, monkeypatch, exp_model, convention):
         cells = self.spy_cells(monkeypatch)
         # u = 0 reads one cell; it was once padded to 2000, with the same bits
         origin = panjer_bounds(exp_model, self.WIDTH, [0.0], convention)
-        padded = panjer_bounds(exp_model, self.WIDTH, [0.0], convention, n_points=2000)
+        padded = panjer_bounds(exp_model, self.WIDTH, [0.0, 1999 * self.WIDTH], convention)
         assert cells == [1, 2000]
-        np.testing.assert_array_equal(origin.lower.values, padded.lower.values)
-        np.testing.assert_array_equal(origin.upper.values, padded.upper.values)
+        np.testing.assert_array_equal(origin.lower.values, padded.lower.values[:1])
+        np.testing.assert_array_equal(origin.upper.values, padded.upper.values[:1])
         empty = panjer_bounds(exp_model, self.WIDTH, [], convention)
         for curve in (empty.lower, empty.upper):
             assert curve.u.shape == curve.values.shape == (0,)
@@ -280,9 +282,6 @@ def test_validation(exp_model):
         panjer_bounds(exp_model, 0.1, np.array([-1.0]))
     with pytest.raises(ValueError):
         panjer_bounds(exp_model, 0.1, np.array([1.0]), convention="fuzzy")
-    with pytest.raises(ValueError):
-        # truncation shorter than the largest requested u
-        panjer_bounds(exp_model, 0.1, np.array([50.0]), n_points=100)
     for u in (np.nan, np.inf):
         with pytest.raises(ValueError, match="u values must be"):
             panjer_bounds(exp_model, 0.1, np.array([1.0, u]))

@@ -545,6 +545,17 @@ def test_config_bad_choice_exits_1(tmp_path, capsys, argv, line):
     assert err.startswith("error:") and f"bad value for {line.split('=')[0]}" in err
 
 
+def test_defaults_pass_their_flags_declaration():
+    # defaults are filled in after parsing, past argparse's checks, so each
+    # must be a value its flag's own type and choices would give
+    for key, value in cli._DEFAULTS.items():
+        actions = [cli._flag_actions(c)[key] for c in cli._COMMANDS if key in cli._flag_actions(c)]
+        assert actions, f"{key} is no flag's dest"
+        for action in actions:
+            assert (action.type or str)(str(value)) == value
+            assert action.choices is None or value in action.choices
+
+
 def run_or_exit(argv, capsys):
     # run_cli for calls that end in argparse's SystemExit too (--help, bad flags)
     try:

@@ -226,6 +226,21 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="step"):
                 decompose_ruin(exp_model, 1.0, step=bad)
 
+    @pytest.mark.parametrize("u_max, step, last", [
+        (1.0, 0.6, 0.6),  # 1/0.6 rounds up to 2, and the grid once ended at 1.2
+        (1.0, 0.3, 0.9),
+        (1.0, 0.25, 1.0),
+        (0.3, 0.1, 0.3),  # 0.3/0.1 is 2.9999999999999996
+        (218.64, 0.01, 218.64),  # 21863.999999999996, 4e-12 below 21864
+        (218.645, 0.01, 218.64),
+        (100.0, 0.01, 100.0),
+        (0.1, 0.01, 0.1),
+    ])
+    def test_grid_ends_at_the_last_step_not_above_u_max(self, exp_model, u_max, step, last):
+        u = decompose_ruin(exp_model, u_max, step=step).psi1.u
+        assert u.size == round(last / step) + 1
+        assert u[-1] == pytest.approx(last, rel=1e-12)
+
     def test_labels(self, exp_model):
         dec = decompose_ruin(exp_model, 1.0, step=0.1)
         assert dec.psi1.method == "oscillation_ruin"

@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from ruinkit import Exponential, Gamma, PerturbedModel, adjustment_coefficient, de_vylder_fit
+from ruinkit import (
+    Exponential,
+    Gamma,
+    MixedExponential,
+    PerturbedModel,
+    adjustment_coefficient,
+    de_vylder_fit,
+)
+from conftest import MIX_RATES, MIX_WEIGHTS
 
 FIXTURES = ("exp_model", "gamma_model", "mix_model")
 
@@ -20,15 +28,20 @@ FIXTURES = ("exp_model", "gamma_model", "mix_model")
 #   q = 1 - lam*mu1/c; tau = 2*c/sigma**2
 #   M_L(r) = q*r*tau*mu1 / (r*(tau - r)*mu1 + (q - 1)*tau*(M_X(r) - 1))
 # with M_X(r) - 1 = r/(1 - r) (Exp(1)) and (1 - r/2)**-2 - 1 (Gamma(2, 2)).
+# The mix_model points and exp_model at 1e-5 follow the recipe of
+# MAX_LOSS_MGF_NEGATIVE below, which holds for 0 < r < R too.
 MAX_LOSS_MGF_ORACLE = {
     ("exp_model", 1e-9): 1.0000001500000226,
     ("exp_model", -1e-9): 0.9999998500000226,
     ("exp_model", 1e-6): 1.0001500226034057,
+    ("exp_model", 1e-5): 1.0015022634102382,
     ("exp_model", -1e-6): 0.9998500225965954,
     ("gamma_model", 1e-9): 1.0000001250000157,
     ("gamma_model", -1e-9): 0.9999998750000156,
     ("gamma_model", 1e-6): 1.0001250156769659,
     ("gamma_model", -1e-6): 0.9998750156730346,
+    ("mix_model", 1e-6): 1.0022149375635188,
+    ("mix_model", 1e-5): 1.0226120059446415,
 }
 
 # E[e^{rL}] at r < 0 to 40 digits, rounded to double, on the three fixtures.
@@ -64,7 +77,7 @@ def test_premium_from_loading(exp_model):
 
 
 def test_derive_params_tuple(mix_model):
-    c, q, tau, rho = mix_model.derive_params()
+    c, q, tau, rho = mix_model.c, mix_model.q, mix_model.tau, mix_model.rho
     assert c == pytest.approx(1.0099976730482052, rel=1e-14)
     assert q == pytest.approx(0.00990099009900991, rel=1e-14)
     assert tau == pytest.approx(2.0199953460964104, rel=1e-14)
@@ -123,6 +136,25 @@ def test_central_moments_gamma():
     assert nu.nu3 == pytest.approx(-6.0, rel=1e-14)
     assert nu.nu4 == pytest.approx(51.75, rel=1e-14)
     assert nu.nu5 == pytest.approx(-255.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("claims", [
+    Gamma(2.0, 2.0),
+    MixedExponential(MIX_WEIGHTS, MIX_RATES),
+    Gamma(0.5, 0.5),
+], ids=["gamma2", "mixture", "gamma0.5"])
+def test_de_vylder_surrogate_has_the_four_central_moments(claims):
+    # the De Vylder fit is defined by matching nu1..nu4 of the surplus; its
+    # exponential-claim surrogate must reproduce them, and only them: nu5
+    # (the fifth claim moment) differs by 0.4-1% on these models
+    m = PerturbedModel(claims, lam=1.0, sigma=1.0, loading=0.01)
+    f = de_vylder_fit(m)
+    surrogate = PerturbedModel(
+        Exponential(f.claim_rate), f.lam, math.sqrt(f.sigma_sq), premium_rate=f.premium_rate
+    )
+    want, got = m.central_moments(2.0, 3.0), surrogate.central_moments(2.0, 3.0)
+    np.testing.assert_allclose(got[:4], want[:4], rtol=1e-14, atol=0.0)
+    assert 3e-3 < abs(got.nu5 / want.nu5 - 1.0) < 2e-2
 
 
 def test_central_moments_validation(exp_model):
@@ -260,9 +292,18 @@ class TestMaxLossMgf:
         with pytest.raises(ValueError, match="diverges"):
             exp_model.mgf_max_loss(r)
 
-    @pytest.mark.parametrize("fixture", FIXTURES)
-    def test_raises_at_the_adjustment_coefficient(self, fixture, request):
-        m = request.getfixturevalue(fixture)
+    @pytest.mark.parametrize("model", [
+        "exp_model",
+        "gamma_model",
+        "mix_model",
+        # the old 1 + r*Psi*(-r) read about 1e12 at R on these two, and
+        # divided by zero on the third
+        PerturbedModel(Exponential(2.5), lam=1.0, sigma=0.1, loading=0.01),
+        PerturbedModel(Gamma(0.5, 0.5), lam=1.0, sigma=1.0, loading=0.01),
+        PerturbedModel(MixedExponential((0.5, 0.5), (1.0, 3.0)), lam=1.0, sigma=0.1, loading=0.05),
+    ], ids=["exp_model", "gamma_model", "mix_model", "exp2.5", "gamma0.5", "mix2"])
+    def test_raises_at_the_adjustment_coefficient(self, model, request):
+        m = request.getfixturevalue(model) if isinstance(model, str) else model
         R = adjustment_coefficient(m).R
         for r in (R, math.nextafter(R, math.inf), 1.01 * R):
             with pytest.raises(ValueError, match="diverges"):
