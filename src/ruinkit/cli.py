@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import math
 import sys
 
 import numpy as np
@@ -178,8 +179,8 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
     return columns
 
 
-def _emit(header: list[str], lines: list[str], out_path: str | None) -> None:
-    text = "\n".join([",".join(header), *lines]) + "\n"
+def _emit(header: list[str], body: str, out_path: str | None) -> None:
+    text = ",".join(header) + "\n" + body
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -187,34 +188,83 @@ def _emit(header: list[str], lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the ASCII digits of 0..99, two bytes each, read as one uint16 per pair
+_DIGIT_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), dtype=np.uint16)
+
+
 def _emit_grid(args, header: list[str], u, columns) -> None:
     """One CSV row per grid point: u, then each column's value there, in
     fixed point with --precision decimals (a column of None is all NA).
 
-    Each column is turned into python floats once, and each row is one `%`
-    on a row template: `%.{p}f` per numeric column, the literal NA per None
-    column ("%.6f" % x and f"{x:.6f}" are the same float-to-string routine).
-    Two kinds of row go cell by cell through _fmt_u/_fmt instead, so the NA
-    and tiny-u rules live there alone: a row holding a non-finite value, and
-    a row with 0 < u < 10**-p, the only u that fixed point can print as 0.
+    The whole grid is one numpy pass. Each cell's `|v|·10^p` is rounded to
+    an int64 and written two digits at a time into a (rows, columns, width)
+    byte matrix of sign, digits, point and separator; leading zeros and
+    unused sign bytes are 0 bytes, and the body is the matrix's nonzero
+    bytes. `-` comes from the sign bit, so -0.0 prints as -0.000000, as `%`
+    prints it. The bytes are those of `"%.{p}f" % v`, which rounds the
+    exact binary value half to even, wherever rounding the product to the
+    nearest integer is sure to agree. Three kinds of cell are left to
+    _fmt_u/_fmt, where the NA and tiny-u rules live alone, and their text
+    is spliced into the block:
+
+    * a non-finite value, and a product of 2^52 or more, where the product
+      has no fraction left to decide with (a product that overflows too);
+    * a product within 2 spacings of a rounding tie. The product rounds
+      `|v|` times `10^p` once, and `10^p` is exact up to p = 22 and itself
+      rounded once above, so the product lies within 1.5 spacings of the
+      exact `|v|·10^p`: outside the band, both sit on one side of the tie;
+    * a u with 0 < u < 10**-p, the only u that fixed point can print as 0.
     """
     p = args.precision
-    u = np.asarray(u, dtype=float)
-    by_cell = (u > 0.0) & (u < 10.0**-p)  # u itself is finite: the grids are checked
-    cells = []
-    for col in columns:
-        if col is None:
-            cells.append(None)
-        else:
-            values = np.asarray(col, dtype=float)
-            by_cell |= ~np.isfinite(values)
-            cells.append(values.tolist())
-    template = ",".join([f"%.{p}f"] + ["NA" if c is None else f"%.{p}f" for c in cells])
-    u_cells = u.tolist()
-    lines = list(map(template.__mod__, zip(u_cells, *(c for c in cells if c is not None))))
-    for i in np.flatnonzero(by_cell).tolist():
-        lines[i] = ",".join([_fmt_u(u_cells[i], p)] + [_fmt(None if c is None else c[i], p) for c in cells])
-    _emit(header, lines, args.out)
+    u = np.asarray(u, dtype=float)  # u itself is finite: the grids are checked
+    na = np.array([False] + [col is None for col in columns])
+    # an NA column is held as zeros, which never need `%`; its cells are set to NA below
+    values = np.array([u] + [np.zeros_like(u) if col is None else col for col in columns], dtype=float).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.abs(values) * np.float64(10.0) ** p
+        nearest = np.rint(scaled)
+        # |a - rint(a)| is ½ less the distance to the tie, and both sums are exact
+        by_cell = ~(np.abs(scaled - nearest) + 2.0 * np.spacing(scaled) < 0.5)
+    by_cell[:, 0] |= (u > 0.0) & (u < 10.0**-p)
+    ints = np.where(by_cell, 0.0, nearest).astype(np.int64)
+
+    width = max(p + 1, len(str(ints.max(initial=0))))
+    width += width % 2  # whole digit pairs; the extra digit is a leading zero
+    pairs = np.empty((ints.size, width // 2), np.uint16)
+    rest = ints.ravel()
+    for j in range(width // 2 - 1, -1, -1):
+        # divmod by `//`: numpy divides by a scalar on a fast path that `%` lacks
+        quotient = rest // 100
+        pairs[:, j] = _DIGIT_PAIRS[rest - 100 * quotient]
+        rest = quotient
+    digits = pairs.view(np.uint8).reshape(*ints.shape, width)
+    for i in range(width - p - 1):  # the integer digits but the units: blank a leading zero
+        digits[..., i] *= ints >= 10 ** (width - 1 - i)
+
+    point = width - p + 1  # cell layout: sign, integer digits, ".", p decimals, separator
+    cells = np.zeros((*ints.shape, width + 3), np.uint8)
+    cells[..., 0] = np.where(np.signbit(values), ord("-"), 0)
+    cells[..., 1:point] = digits[..., : width - p]
+    cells[..., point] = ord(".")
+    cells[..., point + 1 : -1] = digits[..., width - p :]
+    cells[:, na, :-1] = np.frombuffer(b"NA".ljust(width + 2, b"\0"), np.uint8)
+    cells[:, :-1, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    cells[by_cell, :-1] = 0  # a cell left to `%` keeps only its separator
+    body = cells[cells != 0].tobytes().decode("ascii")
+    if by_cell.any():
+        # each such cell's text goes in where its separator starts
+        lengths = np.count_nonzero(cells, axis=2).ravel()
+        starts = (np.cumsum(lengths) - lengths)[by_cell.ravel()].tolist()
+        texts = [
+            _fmt_u(x, p) if j == 0 else _fmt(x, p)
+            for x, j in zip(values[by_cell].tolist(), np.nonzero(by_cell)[1].tolist())
+        ]
+        pieces = [None] * (2 * len(texts) + 1)
+        pieces[::2] = [body[a:b] for a, b in zip([0] + starts, starts + [len(body)])]
+        pieces[1::2] = texts
+        body = "".join(pieces)
+    _emit(header, body, args.out)
 
 
 def _fmt_u(x, places: int) -> str:
@@ -224,7 +274,7 @@ def _fmt_u(x, places: int) -> str:
 
 
 def _fmt(value, places: int) -> str:
-    if value is None or (isinstance(value, float) and not np.isfinite(value)):
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "NA"
     return f"{value:.{places}f}"
 
@@ -282,7 +332,7 @@ def _cmd_coef(args, model, warnings):
         f"{res.bracket[1]:.{p}g}",
         f"{res.residual:.{p}g}",
     ]
-    _emit(["R", "R0", "bracket_lo", "bracket_hi", "residual"], [",".join(row)], args.out)
+    _emit(["R", "R0", "bracket_lo", "bracket_hi", "residual"], ",".join(row) + "\n", args.out)
 
 
 def _cmd_decompose(args, model, warnings):
@@ -306,7 +356,7 @@ def _cmd_simulate(args, model, warnings):
         str(est.n_ruined_by_claim),
         str(est.n_ruined_by_oscillation),
     ]
-    _emit(["ruin_freq", "std_err", "by_claim", "by_oscillation"], [",".join(row)], args.out)
+    _emit(["ruin_freq", "std_err", "by_claim", "by_oscillation"], ",".join(row) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -374,33 +424,39 @@ def _flag_actions(command: str) -> dict:
 
 
 def _apply_config(args) -> None:
-    """Fill unset args from a flat key=value file; explicit flags win. A
-    value is cast and checked by its flag's own argparse type and choices."""
+    """Fill unset args from a flat key=value file; explicit flags win. A key
+    must be a flag of the subcommand other than --config itself, and its
+    value is cast and checked by that flag's own argparse type and choices."""
     if not getattr(args, "config", None):
         return
-    actions = _flag_actions(args.command)
-    with open(args.config) as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise UsageError(f"{args.config}:{line_no}: expected key=value")
-            key = key.strip().replace("-", "_")
-            if key == "u" and hasattr(args, "u_scalar"):
-                key = "u_scalar"
-            if not hasattr(args, key):
-                raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
-            if getattr(args, key) is None:
-                action = actions[key]
-                try:
-                    value = (action.type or str)(val.strip())
-                    if action.choices is not None and value not in action.choices:
-                        raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
-                except ValueError as exc:
-                    raise UsageError(f"{args.config}:{line_no}: bad value for {key}: {exc}") from exc
-                setattr(args, key, value)
+    # not keys: --help sets no value, and the file is already being read
+    actions = {dest: a for dest, a in _flag_actions(args.command).items() if dest not in ("help", "config")}
+    try:
+        with open(args.config) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {args.config}: {getattr(exc, 'strerror', None) or exc}") from exc
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise UsageError(f"{args.config}:{line_no}: expected key=value")
+        key = key.strip().replace("-", "_")
+        if key == "u" and "u_scalar" in actions:
+            key = "u_scalar"
+        if key not in actions:
+            raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
+        if getattr(args, key) is None:
+            action = actions[key]
+            try:
+                value = (action.type or str)(val.strip())
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"invalid choice {value!r} (choose from {', '.join(action.choices)})")
+            except ValueError as exc:
+                raise UsageError(f"{args.config}:{line_no}: bad value for {key}: {exc}") from exc
+            setattr(args, key, value)
 
 
 _COMMANDS = {

@@ -2,8 +2,9 @@
 
 It is slow and kept only as an oracle: every cell goes through its own NA
 check and its own f-string, and every u through the fixed-point-then-%g
-rule, so the tests can check the row-template writer's bytes against an
-independent reading of the output format.
+rule, so the tests can check the bytes of the byte-matrix writer, which
+rounds most cells with integer arithmetic, against an independent reading
+of the output format.
 """
 
 import numpy as np

@@ -494,6 +494,23 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("line", ["command=table", "config=/nonexistent"])
+def test_config_key_that_is_no_flag_exits_1(tmp_path, capsys, line):
+    # the subcommand and the config file are fixed before the file is read
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"precision=3\n{line}\n")
+    rc, out, err = run_cli(["exact", "--model", EXP_MODEL, "--u", "1", "--config", str(cfg)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {cfg}:2: unknown key {line.split('=')[0]!r}\n"
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.cfg"
+    rc, out, err = run_cli(["exact", "--model", EXP_MODEL, "--u", "1", "--config", str(cfg)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot read config file {cfg}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("line", ["seed=1.5", "paths=1e5", "horizon=long"])
 def test_config_bad_value_exits_1(tmp_path, capsys, line):
     # a value the key's type cannot take is a usage error that names the key
@@ -782,6 +799,42 @@ def test_writer_matches_oracle_on_tiny_u(places, capsys):
     assert cells[0] == "-" + f"{0.0:.{places}f}"
     assert cells[1:3] == ["1e-300", "1e-200"]  # a positive u never prints as zero
     assert all(float(c) > 0.0 for c in cells[1:])
+
+
+@pytest.mark.parametrize("places", [1, 6, 10, 15, 17, 22, 23, 30])
+def test_writer_matches_oracle_near_ties_and_the_int64_edge(places, capsys):
+    # the writer rounds |v|·10^p to an integer itself only away from a
+    # rounding tie and below 2^52; cells at (k + ½)·10^-p, either side of
+    # 2^52/10^p and 1-3 ulp either side of those must still read as `%`
+    rng = np.random.default_rng(places)
+    k = rng.integers(0, 10 ** min(places + 3, 15), 2000)
+    edge = 2.0**52 / 10.0**places
+    centres = np.concatenate([(k + 0.5) / 10.0**places, edge * np.array([0.5, 0.999, 1.0, 1.001, 2.0])])
+    values, up, down = [centres], centres, centres
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        values += [up, down]
+    # negative values that round to zero keep their sign, as `%` keeps it
+    to_zero = -np.array([0.0, 1e-300, 0.1, 0.4999]) * 10.0**-places
+    column = np.concatenate(values + [to_zero])
+    u = np.zeros(column.size)  # zero is printed by the integer path at every p
+    text = _assert_writer_matches_oracle(capsys, u, [column, -column[::-1]], places)
+    cells = [line.split(",")[1] for line in text.splitlines()[-to_zero.size :]]
+    assert cells == ["-" + f"{0.0:.{places}f}"] * to_zero.size
+
+
+@pytest.mark.parametrize(
+    "u, values",
+    [
+        ([2.5], [0.125]),
+        # a cell left to `%` in every row: a tiny u, a NaN, a value past
+        # 2^52/10^6, a value whose product is a tie
+        ([1e-300, 1.0, 2.0, 3.0], [0.5, np.nan, 1e10, 0.0000005]),
+    ],
+    ids=["one-row", "a-cell-left-in-every-row"],
+)
+def test_writer_matches_oracle_on_short_grids(u, values, capsys):
+    _assert_writer_matches_oracle(capsys, np.array(u), [np.array(values), None], 6)
 
 
 def test_writer_out_file_matches_stdout(tmp_path, capsys):
