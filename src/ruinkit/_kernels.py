@@ -123,8 +123,8 @@ def _tilt(x, b, start=0):
 def _bisect(f, lo, hi, tol):
     """Halve a bracket with f(lo) < 0 <= f(hi), keeping that sign, until
     hi - lo <= tol or lo and hi are adjacent floats (so tol = 0 runs to the
-    last float). Returns (lo, hi, calls to f). Both Lundberg equations use
-    it: the lattice tilt below and coefficients.adjustment_coefficient."""
+    last float). Returns (lo, hi, calls to f). Every root the library finds
+    comes from it: the lattice tilt below, R and the closed forms' poles."""
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

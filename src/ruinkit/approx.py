@@ -7,8 +7,9 @@ psi(u) ~ sum_k amp_k * exp(-rate_k * u), evaluated by one function
 * four-moment exponential fit (moment-matched single-exponential claim
   model solved exactly as a one-component mixture),
 * the exact exponential sum for mixed-exponential claims, whose rates are
-  the roots of the cleared characteristic polynomial (_mixture_modes, the
-  one mode solver, found as companion-matrix eigenvalues),
+  the roots of the Lundberg function, one in each gap between the claim
+  rates (_mixture_modes, the one mode solver, bisected by the same
+  _kernels._bisect that finds the adjustment coefficient),
 * the two-moment exponential tail approximation,
 * transform-series exponential approximants of orders 3, 4, 5 built from
   the small-s expansion of the ruin transform,
@@ -22,10 +23,12 @@ shape otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, nextafter, prod, sqrt
 
 import numpy as np
 
+from ._kernels import _bisect
+from .claims import Exponential, MixedExponential
 from .model import PerturbedModel
 
 __all__ = [
@@ -108,8 +111,7 @@ def de_vylder_fit(model: PerturbedModel) -> DeVylderParams:
             f"fitted diffusion variance {sigma_star_sq:.6g} is not positive; "
             "the third/fourth claim moments absorb the full second moment"
         )
-    rates, amps = _mixture_modes(lam_star, c_star, sigma_star_sq, (1.0,), (beta,))
-    (rate1, rate2), (amp1, amp2) = rates.tolist(), amps.tolist()
+    (rate1, rate2), (amp1, amp2) = _mixture_modes(lam_star, c_star, sigma_star_sq, Exponential(beta))
     return DeVylderParams(
         lam=lam_star,
         premium_rate=c_star,
@@ -127,57 +129,46 @@ def de_vylder_ruin(model: PerturbedModel, u) -> float | np.ndarray:
     return _exponential_sum((p.amp1, p.amp2), (p.rate1, p.rate2), u)
 
 
-def _mixture_modes(lam: float, c: float, sigma_sq: float, weights, rates):
-    """Roots and amplitudes of the exact ruin formula for mixed-exponential
+def _mixture_modes(lam: float, c: float, sigma_sq: float, claims: MixedExponential):
+    """Rates and amplitudes of the exact ruin formula for mixed-exponential
     claims with diffusion variance sigma_sq: Psi(u) = sum_k amp_k * exp(-r_k u).
 
-    The r_k are the n+1 roots of
-
-        2*lam * sum_j w_j prod_{k != j}(b_k - r) = (2c - sigma_sq r) prod_j(b_j - r)
-
-    found as companion-matrix eigenvalues of the cleared polynomial. The
-    amplitude formula assumes simple roots; complex, repeated, or
-    nonpositive roots reject the closed-form path.
+    The r_k are the roots of g(r) = lam*(M(r) - 1) - c*r + sigma_sq*r^2/2,
+    M continued past the smallest claim rate. g starts below 0 in each gap
+    (0, b_1), ..., (b_n, inf) between the n distinct rates b_j, ends at +inf,
+    and has only n+1 roots, so each gap holds one, bisected to adjacent
+    floats; amp_k = prod_j(1 - r_k/b_j) / prod_{i != k}(1 - r_k/r_i).
     """
     if sigma_sq <= 0.0:
         raise ValueError("the closed form requires a diffusion term (sigma > 0)")
-    w = np.asarray(weights, dtype=float)
-    b = np.asarray(rates, dtype=float)
-    n = b.size
-    # left side: 2*lam * sum_j w_j * prod_{k!=j}(b_k - r); np.poly builds
-    # monic prod(r - b_k), so each factor picks up (-1)^(n-1)
-    lhs = np.zeros(n)
-    sign_partial = (-1.0) ** (n - 1)
-    for j in range(n):
-        others = np.delete(b, j)
-        lhs = np.polyadd(lhs, 2.0 * lam * w[j] * sign_partial * np.poly(others))
-    full = (-1.0) ** n * np.poly(b)
-    rhs = np.polymul(np.array([-sigma_sq, 2.0 * c]), full)
-    poly = np.polysub(lhs, rhs)
-    roots = np.roots(poly)
+    b = sorted(set(claims.rates))
 
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    if np.any(np.abs(roots.imag) > 1e-8 * scale):
-        raise ValueError(f"complex characteristic roots {roots}; closed form not applicable")
-    r = np.sort(roots.real)
-    if r.size != n + 1 or np.any(r <= 0.0):
-        raise ValueError(f"expected {n + 1} positive roots, got {r}")
-    gaps = np.diff(r)
-    if np.any(gaps < 1e-8 * scale):
-        raise ValueError("repeated characteristic roots; closed form assumes simple roots")
+    def g(r: float) -> float:
+        return -c * r + lam * claims._mgf_minus_one(r) + 0.5 * sigma_sq * r * r
 
-    amps = np.empty(n + 1)
-    for k in range(n + 1):
-        amps[k] = np.prod((r[k] - b) / b)
-        others = np.delete(r, k)
-        amps[k] *= np.prod(others / (r[k] - others))
-    return r, amps
+    # past 2*b_n each r/(b_j - r) is above -2, so g > -2*lam - c*r + sigma_sq*r^2/2,
+    # positive past that quadratic's root; doubled as a margin for rounding
+    top = 2.0 * max(2.0 * b[-1], (c + sqrt(c * c + 4.0 * sigma_sq * lam)) / sigma_sq)
+    roots = []
+    for lo, hi in zip([0.0] + [nextafter(bj, inf) for bj in b], [nextafter(bj, 0.0) for bj in b] + [top]):
+        # g(0) = 0, so its slope there, lam*mu1 - c, stands in for g(lo)
+        g_lo = g(lo) if lo else lam * claims.mean - c
+        if not g_lo < 0.0 <= g(hi):
+            raise ValueError(f"no sign change of the Lundberg function on ({lo!r}, {hi!r})")
+        ends = _bisect(g, lo, hi, 0.0)[:2]
+        roots.append(min(ends, key=lambda r: abs(g(r))))
+    amps = [
+        prod((bj - rk) / bj for bj in b) / prod((ri - rk) / ri for ri in roots if ri != rk) for rk in roots
+    ]
+    return roots, amps
 
 
 def mixture_exact_ruin(lam: float, c: float, sigma: float, weights, rates, u) -> float | np.ndarray:
     """Exact ruin probability for mixed-exponential claims with diffusion,
-    as a sum of n+1 decaying exponentials."""
-    r, amps = _mixture_modes(lam, c, sigma**2, weights, rates)
+    as a sum of n+1 decaying exponentials. Raises ValueError for input that
+    is no model (PerturbedModel's checks) or has sigma = 0."""
+    model = PerturbedModel(MixedExponential(weights, rates), lam=lam, sigma=sigma, premium_rate=c)
+    r, amps = _mixture_modes(model.lam, model.c, model.sigma**2, model.claims)
     return _exponential_sum(amps, r, u)
 
 

@@ -30,6 +30,8 @@ from .montecarlo import SimConfig, simulate_ruin
 __all__ = ["main", "parse_model", "parse_claims"]
 
 _TABLE_METHODS = ("exact", "dg", "4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
+# the one-column methods: dg prints a pair of bounds, and exact is its own command
+_APPROX_METHODS = ("4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
 # flag defaults, filled once the config file has had its turn: a flag with an
 # argparse default would look set, and the file could never fill it
 _DEFAULTS = {"precision": 6, "inversion": "talbot", "convention": "strict", "step": 0.01}
@@ -306,6 +308,8 @@ def _cmd_exact(args, model, warnings):
 
 
 def _cmd_approx(args, model, warnings):
+    if args.method not in _APPROX_METHODS:
+        raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(_APPROX_METHODS)})")
     u = _parse_grid(args.u)
     columns = _eval_columns(model, [args.method], u, args.lattice, warnings)
     _emit_grid(args, ["u", "value"], u, [columns[0][1]])
@@ -345,7 +349,7 @@ def _cmd_simulate(args, model, warnings):
     if args.paths is None or args.seed is None:
         raise UsageError("simulate requires --paths and --seed")
     try:
-        config = SimConfig(model=model, u=args.u_scalar, n_paths=args.paths, seed=args.seed, horizon=args.horizon)
+        config = SimConfig(model=model, u=args.u, n_paths=args.paths, seed=args.seed, horizon=args.horizon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     est = simulate_ruin(config)
@@ -394,7 +398,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--degree", type=int)
 
     sp = sub.add_parser("approx", parents=[common])
-    sp.add_argument("--method", help="one of 4me,ren2,pkdv3,pkdv4,pkdv5,2pp,lundberg")
+    sp.add_argument("--method", help="one of " + ",".join(_APPROX_METHODS))
     sp.add_argument("--u")
     sp.add_argument("--lattice", type=float)
 
@@ -410,7 +414,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--step", type=float, help="default 0.01")
 
     sp = sub.add_parser("simulate", parents=[common])
-    sp.add_argument("--u", dest="u_scalar", type=float)
+    sp.add_argument("--u", type=float)
     sp.add_argument("--horizon", type=float)
     sp.add_argument("--paths", type=int)
     sp.add_argument("--seed", type=int)
@@ -444,8 +448,6 @@ def _apply_config(args) -> None:
         if not eq:
             raise UsageError(f"{args.config}:{line_no}: expected key=value")
         key = key.strip().replace("-", "_")
-        if key == "u" and "u_scalar" in actions:
-            key = "u_scalar"
         if key not in actions:
             raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
         if getattr(args, key) is None:
@@ -545,12 +547,11 @@ def _require(args) -> None:
         "approx": ("method", "u"),
         "bounds": ("u",),
         "decompose": ("umax",),
-        "simulate": ("u_scalar",),
+        "simulate": ("u",),
     }
     for field in need.get(args.command, ()):
         if getattr(args, field, None) is None:
-            flag = "--u" if field == "u_scalar" else "--" + field
-            raise UsageError(f"{args.command} requires {flag}")
+            raise UsageError(f"{args.command} requires --{field}")
     degree = getattr(args, "degree", None)
     if degree is not None and degree < 1:
         raise UsageError(f"--degree must be at least 1, got {degree!r}")

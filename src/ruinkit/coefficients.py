@@ -7,7 +7,7 @@ The adjustment coefficient R is the positive root of the Lundberg equation
 
 which exists inside (0, mgf_sup) under the net-profit condition because
 g(0) = 0 with g'(0) = lam*mu1 - c < 0 and M_X blows up at mgf_sup. R comes
-from the bisection that also finds the lattice tilt (_kernels._bisect).
+from the one bisection behind every root in the library (_kernels._bisect).
 Each claim family forms M_X(r) - 1 without subtracting 1 (_mgf_minus_one),
 so R comes out within a few ulp of the root and the residual is |g| there.
 """

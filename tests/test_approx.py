@@ -6,7 +6,9 @@ import pytest
 from ruinkit import (
     Exponential,
     FitInfeasibleError,
+    MixedExponential,
     PerturbedModel,
+    adjustment_coefficient,
     de_vylder_fit,
     de_vylder_ruin,
     lundberg_bound,
@@ -18,13 +20,16 @@ from ruinkit import (
     two_point_pade,
     two_point_pade_params,
 )
+from ruinkit.approx import _mixture_modes
 
+import _reference_modes
 import _reference_values as ref
 from conftest import MIX_RATES, MIX_WEIGHTS
 
 
 U11 = np.array(ref.U11)
 U10 = np.array(ref.U10)
+MODE_KEYS = sorted(_reference_modes.MODES)
 
 # Decay rates (rate1, rate2) of the De Vylder surrogate for Exp(rate)
 # claims, lam=1, keyed by (rate, sigma, theta): 50-digit roots of the
@@ -117,6 +122,51 @@ class TestMixtureExact:
         v = mixture_exact_ruin(1.0, mix_model.c, 1.0, MIX_WEIGHTS, MIX_RATES, 10.0)
         assert isinstance(v, float)
         assert v == pytest.approx(0.977847, abs=5e-7)
+
+    @pytest.mark.parametrize("key", MODE_KEYS, ids=[f"{m}-theta{t:g}-sigma{s:g}" for m, t, s in MODE_KEYS])
+    def test_modes_against_60_digit_references(self, key):
+        mixture, _, sigma = key
+        c, rates, amps, psi = _reference_modes.MODES[key]
+        weights, claim_rates = _reference_modes.MIXTURES[mixture]
+        got_rates, got_amps = _mixture_modes(1.0, c, sigma**2, MixedExponential(weights, claim_rates))
+        np.testing.assert_allclose(got_rates, rates, rtol=3e-14, atol=0.0)
+        np.testing.assert_allclose(got_amps, amps, rtol=0.0, atol=1e-14)
+        got_psi = mixture_exact_ruin(1.0, c, sigma, weights, claim_rates, np.array(_reference_modes.PSI_U))
+        np.testing.assert_allclose(got_psi, psi, rtol=3e-14, atol=0.0)
+
+    @pytest.mark.parametrize("key", MODE_KEYS, ids=[f"{m}-theta{t:g}-sigma{s:g}" for m, t, s in MODE_KEYS])
+    def test_dominant_rate_is_the_adjustment_coefficient(self, key):
+        mixture, _, sigma = key
+        c = _reference_modes.MODES[key][0]
+        m = PerturbedModel(MixedExponential(*_reference_modes.MIXTURES[mixture]), lam=1.0, sigma=sigma, premium_rate=c)
+        rates, _ = _mixture_modes(m.lam, m.c, m.sigma**2, m.claims)
+        assert rates[0] == pytest.approx(adjustment_coefficient(m).R, rel=3e-14, abs=0.0)
+
+    def test_equal_rates_are_one_exponential(self, exp_model):
+        # a repeated claim rate is one pole, not an empty gap between two
+        for sigma in (0.1, 1.0, 2.0):
+            halves = _mixture_modes(1.0, exp_model.c, sigma**2, MixedExponential((0.5, 0.5), (1.0, 1.0)))
+            assert halves == _mixture_modes(1.0, exp_model.c, sigma**2, Exponential(1.0))
+
+    @pytest.mark.parametrize(
+        "lam, c, sigma, weights, rates, message",
+        [
+            (1.0, 1.0, 1.0, (1.0,), (1.0,), "net profit"),  # c = lam*mu1
+            (1.0, 0.5, 1.0, (1.0,), (1.0,), "net profit"),
+            (1.0, 2.0, 1.0, (0.0, 1.0), (1.0, 3.0), "weight must be"),
+            (1.0, 2.0, 1.0, (-0.5, 1.5), (1.0, 3.0), "weight must be"),
+            (1.0, 2.0, 1.0, (0.5, 0.5), (-1.0, 3.0), "rate must be"),
+            (1.0, 2.0, 1.0, (0.5, 0.5), (1.0, np.inf), "rate must be"),
+            (1.0, np.nan, 1.0, (1.0,), (1.0,), "premium_rate must be finite"),
+            (0.0, 0.1, 1.0, (1.0,), (1.0,), "lam must be"),
+            (1.0, 2.0, 1.0, (0.45, 0.45), (1.0, 3.0), "weights sum to"),
+            (1.0, 2.0, 0.0, (1.0,), (1.0,), "diffusion term"),
+        ],
+    )
+    def test_bad_input_raises(self, lam, c, sigma, weights, rates, message):
+        # the model's own checks name the fault
+        with pytest.raises(ValueError, match=message):
+            mixture_exact_ruin(lam, c, sigma, weights, rates, 1.0)
 
 
 class TestRenyi:

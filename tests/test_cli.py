@@ -192,6 +192,15 @@ def test_approx_lundberg_column(capsys):
     assert rows[0][1] == f"{ref.TABLE_EXP['lundberg'][9]:.6f}"
 
 
+@pytest.mark.parametrize("method", ["dg", "exact"])
+def test_approx_takes_only_one_column_methods(method, capsys):
+    # dg is a pair of bounds and exact a command of its own
+    argv = ["approx", "--model", EXP_MODEL, "--method", method, "--lattice", "0.1", "--u", "1,2"]
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: unknown method {method!r} (choose from {', '.join(cli._APPROX_METHODS)})\n"
+
+
 def test_precision_flag(capsys):
     rc, out, _ = run_cli(
         ["exact", "--model", EXP_MODEL, "--u", "1", "--precision", "3"], capsys
@@ -758,7 +767,13 @@ def _write_grid(capsys, header, u, columns, places, out=None):
 def _assert_writer_matches_oracle(capsys, u, columns, places):
     header = ["u"] + [f"c{k}" for k in range(len(columns))]
     text = _write_grid(capsys, header, u, columns, places)
-    assert text == _reference_writer.grid_text(header, u, columns, places)
+    # line by line, naming the first difference: pytest's diff of two
+    # 10^4-line strings takes minutes
+    got = text.splitlines(keepends=True)
+    want = _reference_writer.grid_text(header, u, columns, places).splitlines(keepends=True)
+    bad = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad + 1}: wrote {got[bad]!r}, oracle {want[bad]!r}"
+    assert len(got) == len(want), f"wrote {len(got)} lines, oracle {len(want)}"
     return text
 
 
