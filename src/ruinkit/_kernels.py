@@ -28,8 +28,9 @@ y[k-i]. _series_recurrence solves it in O(n log n):
   the root: a few halvings at small loadings;
 * the tilt, 1/D and the transforms of 1/D and D depend on a and kern
   alone, so a stack of right-hand sides (tail of shape (r, n)) shares them;
-  each row then runs its own head loop and three products and gets the bits
-  of a one-row call.
+  each row then runs its own head loop, and the three products take all
+  rows in each rfft and irfft call. A stacked transform gives each row the
+  bits of a one-row transform, so each row gets the bits of a one-row call.
 
 Accuracy contract: about 1e-12 relative to the term-by-term recurrence in
 every cell, down to the underflow range, when the forcing decays at least as
@@ -114,10 +115,10 @@ def _fft_len(m):
 
 
 def _tilt(x, b, start=0):
-    # x[k] * e^{b (start + k)}, formed as sign * exp(log|x| + b k) so that
+    # x[..., k] * e^{b (start + k)}, formed as sign * exp(log|x| + b k) so that
     # e^{b k} on its own, which overflows deep in the lattice, is never built
     with np.errstate(divide="ignore"):  # log 0 = -inf maps back to 0
-        return np.sign(x) * np.exp(np.log(np.abs(x)) + b * np.arange(start, start + x.size))
+        return np.sign(x) * np.exp(np.log(np.abs(x)) + b * np.arange(start, start + x.shape[-1]))
 
 
 def _bisect(f, lo, hi, tol):
@@ -167,13 +168,17 @@ def _lundberg_exponent(a, kern, n):
 
 
 def _times(left, x, size):
-    # x times a series at hand: np.convolve with its coefficients left when
-    # size is None (x is empty only past a one-term step), else a cyclic
-    # product of length size with its transform left. out= keeps left the
-    # left operand: left * <large temporary> would reuse the temporary and
-    # swap the operands, and complex products with FMA round apart in the
-    # two orders
+    # x times a series at hand, each row of x for x of shape (r, k):
+    # np.convolve with its coefficients left when size is None, a row at a
+    # time (x is empty only past a one-term step), else a cyclic product of
+    # length size with its transform left, all rows in one rfft and one
+    # irfft, which give each row the bits of a call of its own. out= keeps
+    # left the left operand: left * <large temporary> would reuse the
+    # temporary and swap the operands, and complex products with FMA round
+    # apart in the two orders
     if size is None:
+        if x.ndim == 2:
+            return np.array([_times(left, row, None) for row in x])
         return np.convolve(x, left) if x.size else x
     x_hat = np.fft.rfft(x, size)
     return np.fft.irfft(np.multiply(left, x_hat, out=x_hat), size)
@@ -205,14 +210,13 @@ def _series_recurrence(head, tail, a, kern):
     # D = 1 - a sum_{i>=1} kern[i] z^i; that is, y[0] = head and
     # y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]. tail of shape
     # (r, n) with head of shape (r,) solves r right-hand sides: the tilt,
-    # 1/D and the transforms of both are formed once, while the head loop
-    # and the quotient's three products run a row at a time, so each row
-    # gets the same bits as a call of its own
-    rows = np.atleast_2d(tail)
-    heads = np.broadcast_to(head, rows.shape[:1])
-    n = rows.shape[1]
-    y = np.zeros(rows.shape)
-    for y_r, tail_r, head_r in zip(y, rows, heads):
+    # 1/D and the transforms of both are formed once, the head loop runs a
+    # row at a time and the quotient's three products take all rows in each
+    # transform call, so each row gets the same bits as a call of its own
+    n = np.shape(tail)[-1]
+    y = np.zeros(np.shape(tail))
+    rows = np.reshape(tail, (-1, n))
+    for y_r, tail_r, head_r in zip(y.reshape(rows.shape), rows, np.broadcast_to(head, rows.shape[:1])):
         y_r[0] = head_r
         for k in range(1, min(n, _HEAD)):
             y_r[k] = tail_r[k] + a * np.dot(kern[1 : k + 1], y_r[k - 1 :: -1])
@@ -232,12 +236,13 @@ def _series_recurrence(head, tail, a, kern):
         size = None if m <= _HEAD else _fft_len(m)
         r = _reciprocal(d, h)
         r_op, d_op = (r, d[:m]) if size is None else (np.fft.rfft(r, size), np.fft.rfft(d[:m], size))
-        for y_r, tail_r in zip(y, rows):
-            res = _tilt(tail_r[_HEAD:], b, _HEAD) - np.convolve(d, _tilt(y_r[:_HEAD], b))[_HEAD:n]
-            q0 = _times(r_op, res[:h], size)[:h]
-            rest = _times(r_op, res[h:] - _times(d_op, q0, size)[h:m], size)[: m - h]
-            y_r[_HEAD:] = _tilt(np.concatenate((q0, rest)), -b, _HEAD)
-    return y.reshape(np.shape(tail))
+        res = _tilt(tail[..., _HEAD:], b, _HEAD)
+        for res_r, y_r in zip(res.reshape(-1, m), _tilt(y[..., :_HEAD], b).reshape(-1, _HEAD)):
+            res_r -= np.convolve(d, y_r)[_HEAD:n]
+        q0 = _times(r_op, res[..., :h], size)[..., :h]
+        rest = _times(r_op, res[..., h:] - _times(d_op, q0, size)[..., h:m], size)[..., : m - h]
+        y[..., _HEAD:] = _tilt(np.concatenate((q0, rest), axis=-1), -b, _HEAD)
+    return y
 
 
 def panjer_compound(p: np.ndarray, q: float, p_tail: np.ndarray | None = None) -> np.ndarray:

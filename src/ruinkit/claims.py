@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,8 +48,21 @@ __all__ = [
 
 _MAX_MOMENT_ORDER = 5
 
-# the ladder panel rule: 8-node Gauss-Legendre on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the ladder panel rules: Gauss-Legendre on [-1, 1] of _GL_ORDERS nodes, the
+# fewest that a panel's relative width rho = (hi - lo) / min(width, lo)
+# allows (width as in _ladder_integral; rho is infinite on the panel from 0).
+# The integrand f(t) = tail(t) e^{-tau (hi - t)} is analytic within
+# min(width, lo) of the panel: the gamma tail's branch point sits at 0, and
+# width is the scale of the tail and of the weight. By Cauchy's estimate the
+# 2n-th derivative of f on [-1, 1] is at most (2n)! (rho/2)^{2n} times f's
+# size, and the n-node remainder is c_n times that derivative, with
+# c_n = 2^{2n+1} (n!)^4 / ((2n+1) ((2n)!)^3) (Davis & Rabinowitz, Methods of
+# Numerical Integration, 1984). _GL_LIMITS[i] is the largest rho with
+# c_n (2n)! (rho/2)^{2n} <= 2^-56 for n = _GL_ORDERS[i], rounded down; wider
+# panels, the panel from 0 and the dyadic grading panels (rho = 1) among
+# them, keep 8 nodes as before
+_GL_ORDERS = (3, 4, 6, 8)
+_GL_LIMITS = (0.005184, 0.02727, 0.1436)
 # knots 2^-50 .. 2^0 of the panel width: near the origin no panel is wider
 # than its distance from 0 (a gamma tail with shape < 1 has a power kink there)
 _GRADING = np.exp2(-np.arange(50, -1, -1.0))
@@ -208,8 +222,10 @@ class ClaimDistribution(ABC):
 
         One forward pass over panels whose edges are the query points, a
         dyadic grading toward 0 and equal splits no wider than 1/tau, the
-        claim mean or its standard deviation; each panel takes an 8-node
-        Gauss-Legendre rule and the integral moves forward as
+        claim mean or its standard deviation; each panel takes the
+        Gauss-Legendre rule of 3, 4, 6 or 8 nodes that the largest relative
+        width at or after it allows (_GL_LIMITS), and the integral moves
+        forward as
         J_k = e^{-tau(hi_k - hi_{k-1})} J_{k-1} + panel_k (_decay_scan). A gap is
         integrated only over its last _REACH / tau: what lies below is scaled
         by e^{-_REACH}, under the smallest double.
@@ -231,14 +247,35 @@ class ClaimDistribution(ABC):
         lo = np.concatenate(([0.0], hi[:-1]))
         lo[last - pieces + 1] = start
 
+        # The order a panel needs falls with its distance from 0, but for
+        # single narrow panels beside a grading knot, so each panel takes the
+        # rule of the largest rho at or after it. The order then never rises
+        # along the panels, which run as four slices of 8, 6, 4 and 3 nodes
+        # (some empty), and a grid whose widths vary from panel to panel
+        # pays at most the 8 nodes a panel it paid before
+        half = 0.5 * (hi - lo)
+        with np.errstate(divide="ignore"):  # rho = inf on the panel from 0
+            rho = 2.0 * half / np.minimum(width, lo)
+        # the panels whose largest rho at or after them is at most each limit
+        # are the last ones, counted from the end
+        within = np.searchsorted(np.maximum.accumulate(rho[::-1]), _GL_LIMITS[::-1], side="right")
+        stops = (hi.size - within).tolist() + [hi.size]
         panel = np.empty(hi.size)
-        for k in range(0, hi.size, _CHUNK_PANELS):
-            half = 0.5 * (hi[k : k + _CHUNK_PANELS] - lo[k : k + _CHUNK_PANELS])
-            back = half[:, None] * (1.0 - _GL_NODES)  # hi - node
-            vals = self.tail(hi[k : k + _CHUNK_PANELS, None] - back) * np.exp(-tau * back)
-            panel[k : k + _CHUNK_PANELS] = (vals @ _GL_WEIGHTS) * half
+        for n, a, b in zip(_GL_ORDERS[::-1], [0] + stops[:-1], stops):
+            nodes, weights = _gl_rule(n)
+            for k in range(a, b, _CHUNK_PANELS):
+                s = slice(k, min(k + _CHUNK_PANELS, b))
+                back = half[s, None] * (1.0 - nodes)  # hi - node
+                vals = self.tail(hi[s, None] - back) * np.exp(-tau * back)
+                panel[s] = (vals @ weights) * half[s]
         values = _decay_scan(panel, hi, tau)[last[at]]
         return values if inverse is None else values[inverse]
+
+
+@cache
+def _gl_rule(n: int):
+    # (nodes, weights) of the n-node Gauss-Legendre rule, formed on first use
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _check_parameter(name: str, value: float) -> None:

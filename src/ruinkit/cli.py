@@ -311,7 +311,7 @@ def _cmd_approx(args, model, warnings):
     if args.method not in _APPROX_METHODS:
         raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(_APPROX_METHODS)})")
     u = _parse_grid(args.u)
-    columns = _eval_columns(model, [args.method], u, args.lattice, warnings)
+    columns = _eval_columns(model, [args.method], u, None, warnings)
     _emit_grid(args, ["u", "value"], u, [columns[0][1]])
 
 
@@ -400,7 +400,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("approx", parents=[common])
     sp.add_argument("--method", help="one of " + ",".join(_APPROX_METHODS))
     sp.add_argument("--u")
-    sp.add_argument("--lattice", type=float)
 
     sp = sub.add_parser("bounds", parents=[common])
     sp.add_argument("--u")

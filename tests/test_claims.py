@@ -1,5 +1,6 @@
 """Claim distribution families: moments, transforms, ladder-height cdfs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import ruinkit
-from ruinkit import Exponential, Gamma, MixedExponential
+from ruinkit import Exponential, Gamma, MixedExponential, PerturbedModel, claims, decompose_ruin
 from ruinkit.cli import main
 
 import _reference_ladder as ref
@@ -395,6 +396,88 @@ class TestLadderGenericPath:
         # share of its start-up time
         code = f"import sys, ruinkit.cli; print({module!r} in sys.modules)"
         assert run_fresh(code).strip() == "False"
+
+
+LADDER_FAMILIES = {
+    "exp": Exponential(1.0),
+    "mix": MixedExponential(MIX_WEIGHTS, MIX_RATES),
+    **{f"gamma{a:g}": Gamma(a, a) for a in (0.2, 0.5, 1.5, 2.0, 2.5, 8.0)},
+}
+LADDER_GRIDS = {
+    **{f"step{h:g}": np.arange(1, 4001) * h for h in (0.0025, 0.005, 0.01, 0.05)},
+    "geometric": np.geomspace(1e-6, 200.0, 2000),
+}
+
+
+def _tail_calls(monkeypatch, d, x, tau):
+    # (nodes, panels) of each tail() call that one ladder evaluation makes
+    seen = []
+    tail = type(d).tail
+    with monkeypatch.context() as mp:
+        mp.setattr(type(d), "tail", lambda self, t: seen.append(t.shape) or tail(self, t))
+        d._ladder(x, tau)
+    return [(nodes, panels) for panels, nodes in seen]
+
+
+class TestPanelRule:
+    """Each ladder panel takes the fewest Gauss-Legendre nodes its relative
+    width allows; the 8-node rule on every panel is the oracle."""
+
+    @pytest.mark.parametrize("name", LADDER_FAMILIES)
+    def test_matches_the_8_node_rule(self, name):
+        d = LADDER_FAMILIES[name]
+        for theta, sigma in itertools.product((0.01, 1.0), (0.3, 1.0, 3.0)):
+            tau = PerturbedModel(d, lam=1.0, sigma=sigma, loading=theta).tau
+            for grid, x in LADDER_GRIDS.items():
+                for got, want, what in zip(d._ladder(x, tau), ref.gl8_ladder(d, x, tau), ("tail", "density")):
+                    kept = want >= 1e-300
+                    np.testing.assert_allclose(
+                        got[kept], want[kept], rtol=1e-13, atol=0.0,
+                        err_msg=f"{what} theta={theta} sigma={sigma} {grid}",
+                    )
+
+    def test_limits_meet_the_remainder_bound(self):
+        # c_n (2n)! (rho/2)^{2n} <= 2^-56 at each limit, and not 0.1% above it
+        for n, limit in zip(claims._GL_ORDERS, claims._GL_LIMITS):
+            c = 2.0 ** (2 * n + 1) * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+            bound = [c * math.factorial(2 * n) * (rho / 2.0) ** (2 * n) for rho in (limit, 1.001 * limit)]
+            assert bound[0] <= 2.0**-56 < bound[1]
+
+    def test_panels_from_zero_and_grading_panels_take_8_nodes(self, monkeypatch):
+        # width = min(1/tau, mean, sd) = 1: the panel from 0, the 50 dyadic
+        # grading panels up to 1 and the four unit panels up to 5
+        assert _tail_calls(monkeypatch, Exponential(1.0), np.array([5.0]), 0.5) == [(8, 55)]
+
+    @pytest.mark.parametrize("tier", range(3))
+    def test_each_limit_takes_its_order(self, monkeypatch, tier):
+        # a last panel [5, 5 + step] of relative width step / width = step
+        limit = claims._GL_LIMITS[tier]
+        for step, nodes in ((limit * (1.0 - 1e-9), claims._GL_ORDERS[tier]),
+                            (limit * (1.0 + 1e-9), claims._GL_ORDERS[tier + 1])):
+            calls = _tail_calls(monkeypatch, Exponential(1.0), np.array([5.0, 5.0 + step]), 0.5)
+            assert calls == ([(8, 56)] if nodes == 8 else [(8, 55), (nodes, 1)]), step
+
+    def test_cause_split_grid_takes_fewer_tail_evaluations(self, monkeypatch):
+        # decompose --umax 5 on Gamma(1.5, 1.5) claims: 16408 evaluations at
+        # 8 nodes a panel; 3 nodes on the 0.0025-wide panels past width. Each
+        # panel at its own order would take 6663: the three single narrow
+        # panels beside grading knots take the order of the panels after them
+        sizes = []
+        tail = Gamma.tail
+        monkeypatch.setattr(Gamma, "tail", lambda self, t: sizes.append(t.size) or tail(self, t))
+        decompose_ruin(PerturbedModel(Gamma(1.5, 1.5), lam=1.0, sigma=1.0, loading=0.01), 5.0)
+        assert sum(sizes) <= 6668
+
+    def test_irregular_grid_takes_one_call_a_rule(self, monkeypatch):
+        # on sorted random points the order a panel needs flips from panel to
+        # panel; each panel takes the largest order at or after it, so the
+        # panels still run as at most four slices and the values stay exact
+        d = Gamma(1.5, 1.5)
+        x = np.sort(np.random.default_rng(5).uniform(0.0, 100.0, 3000))
+        assert len(_tail_calls(monkeypatch, d, x, 2.02)) <= len(claims._GL_ORDERS)
+        for got, want in zip(d._ladder(x, 2.02), ref.gl8_ladder(d, x, 2.02)):
+            kept = want >= 1e-300
+            np.testing.assert_allclose(got[kept], want[kept], rtol=1e-13, atol=0.0)
 
 
 GAMMA_BOUNDS = ["bounds", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2.5,rate=2",

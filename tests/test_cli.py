@@ -195,10 +195,24 @@ def test_approx_lundberg_column(capsys):
 @pytest.mark.parametrize("method", ["dg", "exact"])
 def test_approx_takes_only_one_column_methods(method, capsys):
     # dg is a pair of bounds and exact a command of its own
-    argv = ["approx", "--model", EXP_MODEL, "--method", method, "--lattice", "0.1", "--u", "1,2"]
+    argv = ["approx", "--model", EXP_MODEL, "--method", method, "--u", "1,2"]
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (1, "")
     assert err == f"error: unknown method {method!r} (choose from {', '.join(cli._APPROX_METHODS)})\n"
+
+
+def test_approx_has_no_lattice_flag(tmp_path, capsys):
+    # no approx method reads a lattice width, so the flag and its config key
+    # are usage errors rather than silently ignored
+    argv = ["approx", "--model", EXP_MODEL, "--method", "4me", "--u", "1"]
+    rc, out, err = run_or_exit([*argv, "--lattice", "0.1"], capsys)
+    assert (rc, out) == (1, "")
+    assert "unrecognized arguments: --lattice 0.1" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lattice=0.1\n")
+    rc, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {cfg}:1: unknown key 'lattice'\n"
 
 
 def test_precision_flag(capsys):
@@ -305,6 +319,18 @@ def test_nan_exact_value_is_a_failure_not_na(capsys):
     assert [row[1] for row in rows] == ["NA", "NA"]
     assert float(rows[1][2]) == pytest.approx(0.980344, abs=1e-6)
     assert "warning: method exact infeasible: talbot orders 24/33 disagree at t=1e-100" in err
+
+
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-200"])
+@pytest.mark.parametrize("command", [["exact", "--u", "1"], ["decompose", "--umax", "1"], ["table", "--u", "1", "--methods", "exact,4me"]])
+def test_diffusion_too_small_for_a_finite_tau_is_a_usage_error(command, sigma, capsys):
+    # tau = 2c/sigma^2 overflows (1e-160) or sigma^2 underflows to 0 (1e-200):
+    # the model spec is refused before any solver divides by it
+    model = f"lambda=1,theta=0.01,sigma={sigma},claims=exp:rate=1"
+    rc, out, err = run_cli([command[0], "--model", model, *command[1:]], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: bad model spec {model!r}: sigma = {float(sigma)!r} is so small")
+    assert "use sigma=0" in err
 
 
 def test_tiny_u_keeps_the_exact_column(capsys):

@@ -75,7 +75,7 @@ def test_division_matches_reference_loops_across_the_head(n):
     )
 
 
-@pytest.mark.parametrize("n", [40, 64, 65, 1000, 40001])
+@pytest.mark.parametrize("n", [40, 64, 65, 1000, 40001, 80001])
 def test_volterra_stacked_forcing_matches_row_by_row(n):
     # one march on an (r, n) forcing shares the reciprocal of the kernel;
     # each row is the one-row march, bit for bit, and meets the scalar loop

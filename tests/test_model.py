@@ -110,6 +110,19 @@ def test_net_profit_required():
         PerturbedModel(Exponential(1.0), lam=np.inf, sigma=1.0, loading=0.1)
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e-160, 5e-324, np.float64(1e-160)])
+def test_sigma_too_small_for_a_finite_tau_rejected(sigma):
+    # sigma^2 underflows to 0 (1e-200, 5e-324) or 2c/sigma^2 overflows (1e-160)
+    with pytest.raises(ValueError, match=r"tau = 2c/sigma\^2 is not a finite float; use sigma=0"):
+        PerturbedModel(Exponential(1.0), lam=1.0, sigma=sigma, loading=0.01)
+
+
+def test_sigma_small_with_a_finite_tau_kept():
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1e-150, loading=0.01)
+    assert m.tau == pytest.approx(2.02e300, rel=1e-15)
+    assert PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.01).sigma == 0.0
+
+
 def test_sigma_nonnegative():
     with pytest.raises(ValueError):
         PerturbedModel(Exponential(1.0), lam=1.0, sigma=-0.5, loading=0.1)
