@@ -36,7 +36,10 @@ def _grid(t, degree, name: str):
     tc = np.asarray(t, dtype=float).reshape(-1, 1)
     if not np.all(tc > 0.0):
         raise ValueError(f"{name} requires t > 0")
-    if int(degree) < 1:
+    # int() would run 2.5 as 2 nodes and True as 1, under the degree given
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"inversion degree must be an integer, got {degree!r}")
+    if degree < 1:
         raise ValueError(f"inversion degree must be at least 1, got {degree!r}")
     return tc, int(degree)
 

@@ -47,21 +47,23 @@ Events run in blocks: n live lanes run k = _BLOCK // n events at once
 (within [1, _KMAX]), so each numpy call spans about _BLOCK lane-events even
 when few lanes are left. A block draws the fixed uniforms of its k events
 as one (k * m, n) block: the wait, the Box-Muller pair and the bridge when
-sigma > 0, and the claim (one for exponential, two for a mixture). Waits,
+sigma > 0, and the _mc_draws rows of which the claim class makes its claims
+(one for exponential, two for a mixture; _mc_claims in claims.py). Waits,
 Box-Muller, claims, sqrt(dt) and the bridge's exp each run once over the
 block; the running sums of time and surplus run a row at a time in event
 order, and a row loop over an alive mask finds where each lane ends. A lane
 computes on past its end to the end of the block and those values are
 never read, so every path counts exactly what its own stream gives; the
 live lanes are compacted once per block. Gamma claims draw a varying number
-of uniforms in their per-lane rejection loop, so their blocks are one event
-long, on the same code path. No draw depends on how lanes are batched, how
-many events a block holds, or the order paths run in, so the counts are a
-pure function of the arguments. Against the scalar oracle in the tests
-only the counts are pinned: numpy's log and exp round apart from math.log
-and math.exp on some inputs (0.34% and 4.4% of 10^6 uniforms on an AVX-512
-x86 machine; cos and sqrt agree on all), and the oracle sums the surplus in
-another order, so a value may differ in its last bits.
+of uniforms in their per-lane rejection loop (_mc_draws is None), so their
+blocks are one event long, on the same code path. No draw depends on how
+lanes are batched, how many events a block holds, or the order paths run
+in, so the counts are a pure function of the arguments. Against the scalar
+oracle in the tests only the counts are pinned: numpy's log and exp round
+apart from math.log and math.exp on some inputs (0.34% and 4.4% of 10^6
+uniforms on an AVX-512 x86 machine; cos and sqrt agree on all), and the
+oracle sums the surplus in another order, so a value may differ in its
+last bits.
 
 That also makes the paths free to split across CPUs (Salmon et al. 2011;
 Steele, Lea & Flood 2014). mc_ruin_paths cuts the path range into one share
@@ -329,7 +331,7 @@ _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 _KMAX = 64  # most events in one Monte Carlo block
-# offset of draw j: an event has at most 6 draws and a block at most _KMAX events
+# offset of draw j: at most 6 draws an event (_mc_draws <= 2) and _KMAX events a block
 _STRIDE = np.arange(6 * _KMAX + 1, dtype=np.uint64) * _GOLDEN
 
 
@@ -355,9 +357,7 @@ def _uniforms(state, m):
 
 
 # ---------------------------------------------------------------------------
-# claim samplers
-# family codes: 0 exponential [rate]; 1 gamma [shape, rate];
-#               2 mixture [k, cumw_1..k, rate_1..k]
+# gamma claims, which draw from the lane states (claims.Gamma._mc_claims)
 # ---------------------------------------------------------------------------
 
 
@@ -393,25 +393,6 @@ def _gamma_claim(state, shape, rate):
     return g * u ** (1.0 / shape) / rate
 
 
-def _block_claim(u, family, fp):
-    """One claim per lane and event from the claim rows of a (k, rows, n)
-    block: exponential 1, mixture 2; returns a new (k, n) array."""
-    if family == 0:
-        rate = fp[0]
-    else:
-        n_comp = int(fp[0])
-        cumw, rates = fp[1 : 1 + n_comp], fp[1 + n_comp : 1 + 2 * n_comp]
-        # the component is searchsorted(cumw, u, "left") capped at n_comp - 1,
-        # the count of cumw[:-1] below u (cumw is nondecreasing); comparisons
-        # cost a tenth of a binary search per lane
-        comp = np.zeros(u[:, 0].shape, dtype=np.intp)
-        for w in cumw[:-1]:
-            comp += u[:, 0] > w
-        rate = rates.take(comp)
-        u = u[:, 1:]
-    return -np.log(u[:, 0]) / rate
-
-
 # ---------------------------------------------------------------------------
 # event-driven Monte Carlo, all live paths advanced a block of events at a time
 # ---------------------------------------------------------------------------
@@ -429,7 +410,7 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _advance(state, v, t, c, lam, sigma, horizon, family, fp):
+def _advance(state, v, t, model, horizon):
     """Run the lanes (state, v, t) until every path has ended; returns
     (n_osc, n_claim)."""
     n_osc = 0
@@ -441,23 +422,25 @@ def _advance(state, v, t, c, lam, sigma, horizon, family, fp):
     # first block's lanes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while state.size:
-            osc, claim, state, v, t = _block(state, v, t, c, lam, sigma, horizon, family, fp)
+            osc, claim, state, v, t = _block(state, v, t, model, horizon)
             n_osc += osc
             n_claim += claim
     return n_osc, n_claim
 
 
-def _block(state, v, t, c, lam, sigma, horizon, family, fp):
+def _block(state, v, t, model, horizon):
     """Run k events on the n live lanes, k = _BLOCK // n within [1, _KMAX]
-    (1 for gamma claims, whose draws vary in number); returns the block's
+    (1 when the claim law's draws vary in number); returns the block's
     (n_osc, n_claim) and the lanes still live. The block's arrays die with
     the call, so none is held while the next block draws."""
+    c, lam, sigma, claims = model.c, model.lam, model.sigma, model.claims
+    draws = claims._mc_draws
     n = state.size
-    k = 1 if family == 1 else min(max(_BLOCK // n, 1), _KMAX)
+    k = 1 if draws is None else min(max(_BLOCK // n, 1), _KMAX)
     # the event's fixed draws: wait, then Box-Muller pair and bridge, then
     # claim; draw j of event i is row i*m + j, as when events ran one by one
     j_claim = 4 if sigma > 0.0 else 1
-    m = j_claim + (1, 0, 2)[family]
+    m = j_claim + (draws or 0)
     u = _uniforms(state, k * m).reshape(k, m, n)
     state += _STRIDE[k * m]
     # the rows are consumed in place, and each step runs once over the whole
@@ -487,10 +470,7 @@ def _block(state, v, t, c, lam, sigma, horizon, family, fp):
         z *= cross
     # every lane draws its claim: a lane censored at the horizon or hit
     # discards it, and a gamma lane that ends discards its advanced state
-    if family == 1:
-        x = _gamma_claim(state, fp[0], fp[1]).reshape(1, n)
-    else:
-        x = _block_claim(u[:, j_claim:], family, fp)
+    x = claims._mc_claims(u[:, j_claim:], state)
     # v1[i]: the surplus before claim i; x[i] becomes the surplus after it
     v_prev = v
     for i in range(k):
@@ -527,24 +507,23 @@ def _count_reached(flag, go_on):
     return int(np.count_nonzero(flag[0])) + int(np.count_nonzero(flag[1:] & go_on[:-1]))
 
 
-def _share(base, a, b, u0, c, lam, sigma, horizon, family, fp):
+def _share(base, a, b, u0, model, horizon):
     """Paths a..b-1 (keys a+1..b) from their start to their end."""
     # the lanes are built in the call, so no frame here keeps them alive
     return _advance(
         _mix(base + np.arange(a + 1, b + 1, dtype=np.uint64) * _GOLDEN) + _GOLDEN,
         np.full(b - a, float(u0)),
         np.zeros(b - a),
-        c, lam, sigma, horizon, family, fp,
+        model, horizon,
     )
 
 
 @np.errstate(over="ignore")  # uint64 wraparound is the point
-def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
+def mc_ruin_paths(seed, n_paths, u0, model, horizon):
     """Run the event-driven ruin simulation; returns (n_oscillation, n_claim).
 
     seed must lie in [0, 2**64).
     """
-    model = (c, lam, sigma, horizon, family, np.ascontiguousarray(fparams, dtype=np.float64))
     # avalanche the seed before deriving path keys: mixing both linearly
     # through the same multiplier would alias (seed, p) with (seed+1, p-1)
     base = _mix(_SEED_SALT + (np.uint64(seed) + _ONE) * _GOLDEN)
@@ -554,7 +533,7 @@ def mc_ruin_paths(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
 
     def run(i):
         try:
-            out[i] = _share(base, edges[i], edges[i + 1], u0, *model)
+            out[i] = _share(base, edges[i], edges[i + 1], u0, model, horizon)
         except BaseException as exc:  # raised again in the caller
             out[i] = exc
 

@@ -37,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from ._kernels import _decay_scan
+from ._kernels import _decay_scan, _gamma_claim
 
 __all__ = [
     "ClaimDistribution",
@@ -97,6 +97,15 @@ class ClaimDistribution(ABC):
     @property
     def mean(self) -> float:
         return self.raw_moment(1)
+
+    # -- Monte Carlo sampler -----------------------------------------------
+
+    _mc_draws = None  # uniform rows a claim reads; None: a varying number
+
+    def _mc_claims(self, u, state):
+        """(k, n) claims from the (k, _mc_draws, n) rows u of a block of k
+        events on n lanes, or from the n lane states, advanced in place."""
+        raise TypeError(f"no sampler for claim family {type(self).__name__}")
 
     # -- transforms --------------------------------------------------------
 
@@ -308,6 +317,9 @@ class Gamma(ClaimDistribution):
         _check_parameter("shape", self.shape)
         _check_parameter("rate", self.rate)
 
+    def _mc_claims(self, u, state):
+        return _gamma_claim(state, self.shape, self.rate)[None]
+
     def raw_moment(self, k: int) -> float:
         self._check_order(k)
         num = 1.0
@@ -368,6 +380,7 @@ class MixedExponential(ClaimDistribution):
 
     weights: tuple[float, ...]
     rates: tuple[float, ...]
+    _mc_draws = 2  # the component, then the exponential claim
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -380,6 +393,14 @@ class MixedExponential(ClaimDistribution):
             _check_parameter("rate", b)
         if abs(sum(self.weights) - 1.0) > 1e-6:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, expected 1")
+
+    def _mc_claims(self, u, state):
+        # the component, searchsorted(cumsum(weights), u) capped at k - 1, is the
+        # count of the first k - 1 partial sums below u, at a tenth of the cost
+        comp = np.zeros(u[:, 0].shape, dtype=np.intp)
+        for w in np.cumsum(self.weights)[:-1]:
+            comp += u[:, 0] > w
+        return -np.log(u[:, 1]) / np.take(self.rates, comp)
 
     def raw_moment(self, k: int) -> float:
         self._check_order(k)
@@ -418,11 +439,16 @@ class MixedExponential(ClaimDistribution):
 class Exponential(MixedExponential):
     """Exponential claim sizes with the given rate: the one-component mixture."""
 
+    _mc_draws = 1  # one uniform a claim, not the mixture's two
+
     def __init__(self, rate: float):
         super().__init__(weights=(1.0,), rates=(rate,))
 
     def __repr__(self) -> str:
         return f"Exponential(rate={self.rate!r})"
+
+    def _mc_claims(self, u, state):
+        return -np.log(u[:, 0]) / self.rate
 
     @property
     def rate(self) -> float:

@@ -61,21 +61,25 @@ def parse_claims(text: str) -> ClaimDistribution:
     `mexp:w=0.88,0.10,0.02;b=5.5,0.19,0.014`."""
     family, _, body = text.partition(":")
     family = family.strip().lower()
+    if family not in ("exp", "gamma", "mexp"):
+        raise UsageError(f"unknown claim family {family!r} (expected exp, gamma, or mexp)")
     try:
+        kv = _kv_pairs(body.split(";" if family == "mexp" else ","))
         if family == "exp":
-            kv = _kv_pairs(body.split(","))
-            return Exponential(rate=float(kv.pop("rate")))
-        if family == "gamma":
-            kv = _kv_pairs(body.split(","))
-            return Gamma(shape=float(kv.pop("shape")), rate=float(kv.pop("rate")))
-        if family == "mexp":
-            kv = _kv_pairs(body.split(";"))
+            claims = Exponential(rate=float(kv.pop("rate")))
+        elif family == "gamma":
+            claims = Gamma(shape=float(kv.pop("shape")), rate=float(kv.pop("rate")))
+        else:
             weights = tuple(float(x) for x in kv.pop("w").split(","))
             rates = tuple(float(x) for x in kv.pop("b").split(","))
-            return MixedExponential(weights=weights, rates=rates)
+            claims = MixedExponential(weights=weights, rates=rates)
+        # a key the family does not read, such as a model key misspelled
+        # after claims=, would otherwise be dropped
+        if kv:
+            raise ValueError(f"unknown key {next(iter(kv))!r}")
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad claims spec {text!r}: {exc}") from exc
-    raise UsageError(f"unknown claim family {family!r} (expected exp, gamma, or mexp)")
+    return claims
 
 
 def _kv_pairs(tokens) -> dict:
@@ -84,7 +88,10 @@ def _kv_pairs(tokens) -> dict:
         key, eq, val = tok.partition("=")
         if not eq:
             raise ValueError(f"expected key=value, got {tok!r}")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = val.strip()
     return out
 
 
@@ -99,11 +106,11 @@ def parse_model(text: str) -> PerturbedModel:
             fields[-1] += "," + tok
         else:
             fields.append(tok)
-    kv = _kv_pairs(fields)
-    if "claims" not in kv:
-        raise UsageError(f"model spec {text!r} is missing claims=")
-    claims = parse_claims(kv.pop("claims"))
     try:
+        kv = _kv_pairs(fields)
+        if "claims" not in kv:
+            raise UsageError(f"model spec {text!r} is missing claims=")
+        claims = parse_claims(kv.pop("claims"))
         lam = float(kv.pop("lambda", 1.0))
         sigma = float(kv.pop("sigma", 0.0))
         loading = float(kv.pop("theta")) if "theta" in kv else None

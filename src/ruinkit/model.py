@@ -66,11 +66,13 @@ class PerturbedModel:
             object.__setattr__(self, "loading", self.premium_rate / (self.lam * mu1) - 1.0)
         if not self.premium_rate - self.lam * mu1 > 0.0:
             raise ValueError("net profit condition violated: c <= lam * mu1")
-        # tau = 2c/sigma^2 must be a finite float. sigma * sigma, unlike
-        # sigma**2, cannot raise on overflow, and the quotient is taken only
-        # once the square is known not to have underflowed to 0
+        # sigma^2 and tau = 2c/sigma^2 must be finite floats. sigma * sigma,
+        # unlike sigma**2, cannot raise on overflow, and the quotient is taken
+        # only once the square is known not to have underflowed to 0
         if self.sigma > 0.0:
             square = float(self.sigma) * float(self.sigma)
+            if not square < np.inf:
+                raise ValueError(f"sigma = {self.sigma!r} is too large: sigma^2 is not a finite float")
             if not (square > 0.0 and 2.0 * float(self.premium_rate) / square < np.inf):
                 raise ValueError(
                     f"sigma = {self.sigma!r} is so small that tau = 2c/sigma^2 is not "

@@ -17,7 +17,6 @@ from math import sqrt
 import numpy as np
 
 from ._kernels import mc_ruin_paths
-from .claims import Exponential, Gamma, MixedExponential
 from .model import PerturbedModel
 
 __all__ = ["SimConfig", "SimEstimate", "simulate_ruin"]
@@ -71,34 +70,10 @@ class SimEstimate:
     seed: int
 
 
-def _family_code(model: PerturbedModel) -> tuple[int, np.ndarray]:
-    claims = model.claims
-    if isinstance(claims, Exponential):
-        return 0, np.array([claims.rate])
-    if isinstance(claims, Gamma):
-        return 1, np.array([claims.shape, claims.rate])
-    if isinstance(claims, MixedExponential):
-        k = len(claims.weights)
-        cumw = np.cumsum(claims.weights)
-        return 2, np.concatenate(([float(k)], cumw, claims.rates))
-    raise TypeError(f"no sampler for claim family {type(claims).__name__}")
-
-
 def simulate_ruin(config: SimConfig) -> SimEstimate:
     model = config.model
     horizon = config.resolved_horizon()
-    family, fparams = _family_code(model)
-    n_osc, n_claim = mc_ruin_paths(
-        config.seed,
-        config.n_paths,
-        config.u,
-        model.c,
-        model.lam,
-        model.sigma,
-        horizon,
-        family,
-        fparams,
-    )
+    n_osc, n_claim = mc_ruin_paths(config.seed, config.n_paths, config.u, model, horizon)
     n = int(config.n_paths)
     p_hat = (n_osc + n_claim) / n
     return SimEstimate(

@@ -186,6 +186,15 @@ def test_mgf_minus_one_keeps_its_digits_near_zero(d):
     assert d._mgf_minus_one(r) == pytest.approx(d.mgf(r) - 1.0, rel=1e-14, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "d", [Exponential(2.0), Gamma(2.5, 2.0), MixedExponential(MIX_WEIGHTS, MIX_RATES)], ids=repr
+)
+def test_moment_orders_outside_one_to_five_rejected(d):
+    for k in (0, 6):
+        with pytest.raises(ValueError, match=f"moment order must be an integer in 1..5, got {k}"):
+            d.raw_moment(k)
+
+
 def test_tail_has_no_default_from_the_cdf():
     # 1 - cdf(x) rounds to 0 where the ladder tail, the bounds and the cause
     # split still need relative accuracy, so each family must give its own

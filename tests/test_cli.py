@@ -333,6 +333,16 @@ def test_diffusion_too_small_for_a_finite_tau_is_a_usage_error(command, sigma, c
     assert "use sigma=0" in err
 
 
+@pytest.mark.parametrize("command", [["exact", "--u", "1"], ["table", "--u", "1", "--methods", "exact,4me"]])
+def test_diffusion_too_large_for_a_finite_square_is_a_usage_error(command, capsys):
+    # sigma^2 overflows: refused with the model, before tau or the Levy
+    # exponent squares sigma with ** (OverflowError, exit 2)
+    model = "lambda=1,theta=0.01,sigma=1e200,claims=exp:rate=1"
+    rc, out, err = run_cli([command[0], "--model", model, *command[1:]], capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: bad model spec {model!r}: sigma = 1e+200 is too large: sigma^2 is not a finite float\n"
+
+
 def test_tiny_u_keeps_the_exact_column(capsys):
     # psi(1e-200) rounds to 1, which is filled without inversion, so one tiny
     # u no longer turns the whole exact column into NA
@@ -436,6 +446,12 @@ def test_usage_errors_exit_1(capsys):
         ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=inf,rate=1", "--u", "1"],
         ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2,rate=inf", "--u", "1"],
         ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=mexp:w=0.5,0.5;b=1,inf", "--u", "1"],
+        # a key the claim family does not read, and a repeated key
+        ["exact", "--model", "lambda=1,theta=0.1,claims=exp:rate=1,sgima=1", "--u", "1,5"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:shape=2,rate=2,scale=5", "--u", "1"],
+        ["exact", "--model", "lambda=1,theta=0.1,sigma=1,claims=mexp:w=0.5,0.5;b=1,2;c=3", "--u", "1"],
+        ["exact", "--model", "theta=0.1,theta=0.5,sigma=1,claims=exp:rate=1", "--u", "1"],
+        ["exact", "--model", "lambda,theta=0.1,sigma=1,claims=exp:rate=1", "--u", "1"],  # no '='
     ]
     for argv in cases:
         rc, out, err = run_cli(argv, capsys)
@@ -475,6 +491,21 @@ def test_claims_parse_validation():
         parse_claims("mexp:w=0.5,0.5")
     with pytest.raises(Exception, match="unknown claim family"):
         parse_claims("pareto:alpha=2")
+    # each family refuses a key it does not read, and any family a repeated key
+    for text, message in [
+        ("exp:rate=1,sgima=1", "unknown key 'sgima'"),
+        ("gamma:shape=2,rate=2,scale=5", "unknown key 'scale'"),
+        ("mexp:w=0.8,0.2;b=2.0,0.5;k=2", "unknown key 'k'"),
+        ("exp:rate=1,rate=2", "repeated key 'rate'"),
+    ]:
+        with pytest.raises(cli.UsageError) as info:
+            parse_claims(text)
+        assert str(info.value) == f"bad claims spec {text!r}: {message}"
+    # a misspelt model key after claims= reaches the claims spec
+    with pytest.raises(cli.UsageError, match="bad claims spec 'exp:rate=1,sgima=1': unknown key 'sgima'"):
+        parse_model("lambda=1,theta=0.1,claims=exp:rate=1,sgima=1")
+    with pytest.raises(cli.UsageError, match="repeated key 'theta'"):
+        parse_model("theta=0.1,theta=0.5,claims=exp:rate=1")
     # mexp round trip keeps all components
     mexp = parse_claims("mexp:w=0.8,0.2;b=2.0,0.5")
     assert mexp.weights == (0.8, 0.2) and mexp.rates == (2.0, 0.5)
@@ -519,6 +550,30 @@ def test_config_u_alias_for_simulate(tmp_path, capsys):
     assert rc == 0
     header, _ = parse_csv(out)
     assert header[0] == "ruin_freq"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table", "--model", EXP_MODEL, "--methods", "bogus", "--u", "1"],
+            "unknown method 'bogus' (choose from exact, dg, 4me, ren2, pkdv3, pkdv4, pkdv5, 2pp, lundberg)",
+        ),
+        (["bounds", "--model", EXP_MODEL, "--u", "1"], "bounds requires --lattice"),
+        (["exact", "--u", "1"], "exact requires --model (flag or config file)"),
+    ],
+    ids=["table-unknown-method", "bounds-no-lattice", "exact-no-model"],
+)
+def test_usage_error_messages(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_config_line_without_equals_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("precision=3\nu 1\n")
+    rc, out, err = run_cli(["exact", "--model", EXP_MODEL, "--config", str(cfg)], capsys)
+    assert (rc, out, err) == (1, "", f"error: {cfg}:2: expected key=value\n")
 
 
 def test_config_unknown_key_exits_1(tmp_path, capsys):

@@ -226,6 +226,19 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="step"):
                 decompose_ruin(exp_model, 1.0, step=bad)
 
+    def test_sigma_zero_has_no_split(self):
+        classical = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.1)
+        with pytest.raises(ValueError, match=r"the cause split requires a diffusion term \(sigma > 0\)"):
+            decompose_ruin(classical, 1.0)
+
+    def test_step_too_coarse_for_tau(self, exp_model):
+        # tau = 2.02: h = step / refine must stay below 1 / tau = 0.495
+        with pytest.raises(ValueError, match="step too coarse: tau \\* step / refine must be < 1"):
+            decompose_ruin(exp_model, 10.0, step=2.0)
+        with pytest.raises(ValueError, match="step too coarse"):
+            decompose_ruin(exp_model, 10.0, step=0.5, refine=1)
+        assert decompose_ruin(exp_model, 10.0, step=0.5, refine=2).psi1.u[-1] == 10.0
+
     @pytest.mark.parametrize("u_max, step, last", [
         (1.0, 0.6, 0.6),  # 1/0.6 rounds up to 2, and the grid once ended at 1.2
         (1.0, 0.3, 0.9),

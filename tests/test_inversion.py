@@ -54,6 +54,15 @@ def test_t_must_be_positive():
 
 
 @pytest.mark.parametrize("method", ["talbot", "euler"])
+def test_degree_must_be_an_integer(method):
+    # int() would run 2.5 as the 2-node rule and True as the 1-node rule
+    for degree in (2.5, 24.0, True, "24"):
+        with pytest.raises(ValueError, match=f"inversion degree must be an integer, got {degree!r}"):
+            invert(DECAY, 1.0, method=method, degree=degree)
+    assert invert(DECAY, 1.0, method=method, degree=np.int64(24)) == invert(DECAY, 1.0, method=method, degree=24)
+
+
+@pytest.mark.parametrize("method", ["talbot", "euler"])
 def test_degree_below_one_rejected(method):
     for degree in (0, -3):
         with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):

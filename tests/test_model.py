@@ -117,6 +117,25 @@ def test_sigma_too_small_for_a_finite_tau_rejected(sigma):
         PerturbedModel(Exponential(1.0), lam=1.0, sigma=sigma, loading=0.01)
 
 
+@pytest.mark.parametrize("sigma", [1e155, 1e200, 1.7e308, np.float64(1e200)])
+def test_sigma_too_large_for_a_finite_square_rejected(sigma):
+    # sigma^2 overflows, where tau and the Levy exponent would raise
+    # OverflowError from **
+    with pytest.raises(ValueError, match=r"is too large: sigma\^2 is not a finite float"):
+        PerturbedModel(Exponential(1.0), lam=1.0, sigma=sigma, loading=0.01)
+
+
+def test_sigma_large_with_a_finite_square_kept():
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1e154, loading=0.01)
+    assert m.tau == pytest.approx(2.02e-308, rel=1e-15)
+
+
+def test_tau_undefined_without_diffusion():
+    m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.01)
+    with pytest.raises(ValueError, match=r"tau undefined for sigma = 0 \(no diffusion\)"):
+        m.tau
+
+
 def test_sigma_small_with_a_finite_tau_kept():
     m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1e-150, loading=0.01)
     assert m.tau == pytest.approx(2.02e300, rel=1e-15)

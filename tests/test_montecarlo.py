@@ -5,6 +5,7 @@ horizon, so a fixed seed gives a deterministic, already-verified outcome;
 the frozen counts double as regression pins on the bit-exact stream.
 """
 
+import math
 import threading
 import warnings
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from ruinkit import (
+    ClaimDistribution,
     Exponential,
     Gamma,
     MixedExponential,
@@ -23,7 +25,7 @@ from ruinkit import (
     simulate_ruin,
 )
 from ruinkit import _kernels
-from ruinkit.montecarlo import _family_code, mc_ruin_paths
+from ruinkit.montecarlo import mc_ruin_paths
 
 from _reference_kernels import _gamma_mt_py, _mc_ruin_paths_py
 from conftest import MIX_RATES, MIX_WEIGHTS
@@ -98,36 +100,58 @@ def test_frozen_counts(heavy_loading_model):
     assert est.std_err == pytest.approx(np.sqrt(0.407 * 0.593 / 20000), rel=1e-6)
 
 
-def test_engines_agree_exactly():
-    # the generator is integer-deterministic, so the vectorized kernel and
-    # the one-path-at-a-time oracle must consume identical streams
-    args = (11, 3000, 1.0, 2.0, 1.0, 1.0, 50.0, 0, np.array([1.0]))
-    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == (275, 936)
-
-
-def test_exponential_keeps_its_one_draw_sampler():
-    # Exponential is a one-component MixedExponential but keeps family 0, one
-    # uniform per claim; a mixture built with one component keeps family 2,
-    # two uniforms per claim, so neither class's streams change
-    def code(claims):
-        family, fp = _family_code(PerturbedModel(claims, lam=1.0, sigma=1.0, loading=1.0))
-        return family, fp.tolist()
-
-    assert code(Exponential(2.0)) == (0, [2.0])
-    assert code(MixedExponential((1.0,), (2.0,))) == (2, [1.0, 1.0, 2.0])
-
-
+# each sampler once: the claim law the kernel runs, and the family code and
+# flat parameters the scalar oracle reads for it
 SAMPLERS = {
-    "exp": (0, [1.0]),
-    "gamma2.5": (1, [2.5, 2.5]),  # Marsaglia-Tsang direct
-    "gamma0.5": (1, [0.5, 0.5]),  # shape < 1, boosted by u^(1/shape)
-    "mixture": (2, [3.0, 0.5, 0.8, 1.0, 2.0, 1.0, 0.25]),  # [k, cumw, rates]
+    "exp": (Exponential(1.0), 0, [1.0]),
+    "gamma2.5": (Gamma(2.5, 2.5), 1, [2.5, 2.5]),  # Marsaglia-Tsang direct
+    "gamma0.5": (Gamma(0.5, 0.5), 1, [0.5, 0.5]),  # shape < 1, boosted by u^(1/shape)
+    # [k, cumw, rates]
+    "mixture": (MixedExponential((0.5, 0.3, 0.2), (2.0, 1.0, 0.25)), 2, [3.0, 0.5, 0.8, 1.0, 2.0, 1.0, 0.25]),
 }
 
 
-def _oracle_case(sampler, seed, n_paths, sigma, horizon):
-    family, fparams = SAMPLERS[sampler]
-    return (seed, n_paths, 1.0, 2.0, 1.0, sigma, horizon, family, np.array(fparams))
+def _oracle_case(sampler, seed, n_paths, sigma, horizon, c=2.0, lam=1.0):
+    """The same run from u0 = 1 as (kernel args, oracle args)."""
+    claims, family, fp = SAMPLERS[sampler]
+    model = PerturbedModel(claims, lam=lam, sigma=sigma, premium_rate=c)
+    oracle = (seed, n_paths, 1.0, c, lam, sigma, horizon, family, np.array(fp))
+    return (seed, n_paths, 1.0, model, horizon), oracle
+
+
+def test_engines_agree_exactly():
+    # the generator is integer-deterministic, so the vectorized kernel and
+    # the one-path-at-a-time oracle must consume identical streams
+    args, oracle = _oracle_case("exp", 11, 3000, 1.0, 50.0)
+    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*oracle) == (275, 936)
+
+
+def test_exponential_keeps_its_one_draw_sampler():
+    # Exponential is a one-component MixedExponential but draws one uniform
+    # per claim; a mixture built with one component draws two, as the
+    # oracle's family 2 does, so neither class's streams change
+    one = MixedExponential((1.0,), (2.0,))
+    assert Exponential(2.0)._mc_draws == 1
+    assert one._mc_draws == 2
+    counts = mc_ruin_paths(11, 1000, 1.0, PerturbedModel(one, lam=1.0, sigma=1.0, premium_rate=2.0), 50.0)
+    assert counts == _mc_ruin_paths_py(11, 1000, 1.0, 2.0, 1.0, 1.0, 50.0, 2, np.array([1.0, 1.0, 2.0]))
+
+
+class _UnitClaims(ClaimDistribution):
+    """Claims of size 1, with no Monte Carlo sampler; the simulation reads
+    only the mean, so the other methods are left out."""
+
+    def raw_moment(self, k):
+        return 1.0
+
+    mgf_sup = math.inf
+    _mgf_unchecked = _mgf_minus_one = cdf = tail = integrated_tail = upper_integrated_tail = None
+
+
+def test_a_claim_law_without_a_sampler_is_refused():
+    model = PerturbedModel(_UnitClaims(), lam=1.0, sigma=1.0, loading=1.0)
+    with pytest.raises(TypeError, match="no sampler for claim family _UnitClaims"):
+        simulate_ruin(SimConfig(model, u=1.0, n_paths=10, seed=0))
 
 
 # sigma=0 draws no diffusion uniforms; at horizons 2 and 0.5 most survivors
@@ -165,11 +189,11 @@ def _oracle_case(sampler, seed, n_paths, sigma, horizon):
     ],
 )
 def test_every_sampler_matches_the_oracle(sampler, seed, sigma, horizon, counts):
-    args = _oracle_case(sampler, seed, 3000, sigma, horizon)
-    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*args) == counts
+    args, oracle = _oracle_case(sampler, seed, 3000, sigma, horizon)
+    assert mc_ruin_paths(*args) == _mc_ruin_paths_py(*oracle) == counts
 
 
-def _serial_counts(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
+def _serial_counts(seed, n_paths, u0, model, horizon):
     # every lane built as one array from its path key, then one _advance:
     # the path loop as it runs on one CPU
     with np.errstate(over="ignore"):
@@ -177,7 +201,7 @@ def _serial_counts(seed, n_paths, u0, c, lam, sigma, horizon, family, fparams):
         keys = base + np.arange(1, n_paths + 1, dtype=np.uint64) * _kernels._GOLDEN
     state = _kernels._mix(keys) + _kernels._GOLDEN
     lanes = (state, np.full(n_paths, u0), np.zeros(n_paths))
-    return _kernels._advance(*lanes, c, lam, sigma, horizon, family, fparams)
+    return _kernels._advance(*lanes, model, horizon)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +211,7 @@ def test_counts_do_not_depend_on_the_cpu_count(sampler, sigma, monkeypatch):
     # 50k paths make three shares of more than twice the floor each, so the
     # threaded path runs whatever the machine; gamma0.5 runs its per-lane
     # rejection loop inside each share
-    args = _oracle_case(sampler, 5, 50_000, sigma, 2.0)
+    args, _ = _oracle_case(sampler, 5, 50_000, sigma, 2.0)
     counts = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
@@ -201,17 +225,18 @@ def test_counts_do_not_depend_on_the_cpu_count(sampler, sigma, monkeypatch):
     [
         # theta = 0.01: paths live for thousands of events, most of them in
         # blocks of many events once few lanes are left
-        ((5, 20_000, 1.0, 1.01, 1.0, 1.0, 2000.0, 0, np.array([1.0])), (7180, 12361)),
-        (_oracle_case("mixture", 5, 40_000, 0.0, 50.0), (0, 21971)),
-        (_oracle_case("gamma0.5", 5, 40_000, 1.0, 2.0), (2408, 9674)),
+        (_oracle_case("exp", 5, 20_000, 1.0, 2000.0, c=1.01)[0], (7180, 12361)),
+        (_oracle_case("mixture", 5, 40_000, 0.0, 50.0)[0], (0, 21971)),
+        (_oracle_case("gamma0.5", 5, 40_000, 1.0, 2.0)[0], (2408, 9674)),
     ],
     ids=["exp-theta0.01-h2000", "mixture-sigma0", "gamma0.5-h2"],
 )
 def test_counts_do_not_depend_on_the_block_size(args, counts, monkeypatch):
     # the counts are frozen from the event-at-a-time loop; gamma claims keep
     # one event a block whatever _BLOCK is
-    sigma, family = args[5], args[7]
-    event_draws = (4 if sigma > 0.0 else 1) + (1, 0, 2)[family]
+    model = args[3]
+    draws = model.claims._mc_draws
+    event_draws = (4 if model.sigma > 0.0 else 1) + (draws or 0)
     rows = []  # rows of every draw; list.append is safe from the share threads
     uniforms = _kernels._uniforms
 
@@ -226,7 +251,7 @@ def test_counts_do_not_depend_on_the_block_size(args, counts, monkeypatch):
             monkeypatch.setattr(_kernels, "_cpu_count", lambda: cpus)
             rows.clear()
             assert mc_ruin_paths(*args) == counts, (block, cpus)
-            if block == 1 or family == 1:
+            if block == 1 or draws is None:
                 assert max(rows) <= event_draws
             else:
                 assert max(rows) > event_draws  # a block of several events ran
@@ -262,7 +287,7 @@ def test_a_failing_share_raises_in_the_caller(failing_share, monkeypatch):
     monkeypatch.setattr(_kernels, "_advance", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"share {failing_share} failed"):
-        mc_ruin_paths(*_oracle_case("exp", 5, 50_000, 1.0, 2.0))
+        mc_ruin_paths(*_oracle_case("exp", 5, 50_000, 1.0, 2.0)[0])
     assert threading.active_count() == before
 
 
@@ -271,7 +296,7 @@ def test_threaded_shares_raise_no_numpy_warning(monkeypatch):
     # first wait overflows to inf in every lane of every share, and every
     # path is censored at the horizon after its diffusion
     monkeypatch.setattr(_kernels, "_cpu_count", lambda: 2)
-    args = (5, 50_000, 1.0, 2.0, 1e-308, 1.0, 2.0, 0, np.array([1.0]))
+    args, _ = _oracle_case("exp", 5, 50_000, 1.0, 2.0, lam=1e-308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         counts = mc_ruin_paths(*args)
@@ -296,9 +321,9 @@ def test_single_path_matches_the_oracle(sampler, sigma, totals):
     # one lane, seeds 0..19: the counts summed over the seeds are frozen
     osc = claim = 0
     for seed in range(20):
-        args = _oracle_case(sampler, seed, 1, sigma, 50.0)
+        args, oracle = _oracle_case(sampler, seed, 1, sigma, 50.0)
         counts = mc_ruin_paths(*args)
-        assert counts == _mc_ruin_paths_py(*args)
+        assert counts == _mc_ruin_paths_py(*oracle)
         osc += counts[0]
         claim += counts[1]
     assert (osc, claim) == totals
