@@ -2,38 +2,37 @@
 
 The Panjer recursion and the Volterra product-trapezoid march are the same
 truncated power-series division y = T / D with D = 1 - a * sum_{i>=1}
-kern[i] z^i, that is y[0] = head, y[k] = tail[k] + a * sum_{i=1}^{k} kern[i]
-y[k-i]. _series_recurrence solves it in O(n log n):
+kern[i] z^i, that is y[k] = T[k] + a * sum_{i=1}^{k} kern[i] y[k-i].
+_series_recurrence solves it in O(n log n) for all n terms at once:
 
-* the first 64 terms come from that recurrence term by term, so they are
-  exact and do not depend on n (for n <= 64 the loop is all there is);
-* beyond them, y gains res / D to the remaining m = n - 64 terms, res the
-  residual T - D * y_head. The reciprocal 1/D comes from Newton doubling
-  with real-FFT products (Brent & Kung 1978; Hairer, Lubich & Schlichte 1985
-  for the Volterra case), but only to h = ceil(m/2) terms: one
-  Karp-Markstein step (1997) takes the quotient from there, q0 = (1/D) res
-  to h terms, then (1/D) (res - D q0) for the other m - h. Each Newton level
-  is that step with T = 1. No transform is longer than _fft_len(m), where a
-  full product of 1/D to m terms with res would need twice that. Steps of
-  at most 64 terms form their products with np.convolve, where the FFT
-  calls would each cost more than the whole product;
+* the reciprocal 1/D comes from Newton doubling with real-FFT products
+  (Brent & Kung 1978; Hairer, Lubich & Schlichte 1985 for the Volterra
+  case), but only to h = ceil(n/2) terms: one Karp-Markstein step (1997)
+  takes the quotient from there, q0 = (1/D) T to h terms, then
+  (1/D) (T - D q0) for the other n - h. Each Newton level is that step with
+  T = 1. No transform is longer than _fft_len(n), where a full product of
+  1/D to n terms with T would need twice that. Steps of at most _DIRECT
+  terms form their products with np.convolve, where the FFT calls would
+  each cost more than the whole product. y[0] = T[0] is set exactly, as
+  D[0] = 1. The tilt and 1/D are a fixed cost of each call, which a scalar
+  loop would undercut below about 60 terms;
 * an FFT product is accurate only relative to its largest term, so both
   series are first tilted by e^{b k}, with b >= 0 the root of the lattice
   Lundberg equation a * sum kern[i] e^{b i} = 1. The tilted solution is
-  nearly flat, which makes the error relative term by term; the result is
+  nearly flat, which makes the error relative in every term; the result is
   scaled back by e^{-b k}. Tilted arrays are formed as sign * exp(log|x| +
   b k), since e^{b k} alone leaves the float range on fine lattices. b
   needs to hold only to 0.1/n. It is bisected on [0, t], where t is the
   zero of the tangent at 0 of the convex log-mass and so lies at or past
   the root: a few halvings at small loadings;
 * the tilt, 1/D and the transforms of 1/D and D depend on a and kern
-  alone, so a stack of right-hand sides (tail of shape (r, n)) shares them;
-  each row then runs its own head loop, and the three products take all
-  rows in each rfft and irfft call. A stacked transform gives each row the
-  bits of a one-row transform, so each row gets the bits of a one-row call.
+  alone, so a stack of right-hand sides (T of shape (r, n)) shares them,
+  and the three products take all rows in each rfft and irfft call. A
+  stacked transform gives each row the bits of a one-row transform, so
+  each row gets the bits of a one-row call.
 
-Accuracy contract: about 1e-12 relative to the term-by-term recurrence in
-every cell, down to the underflow range, when the forcing decays at least as
+Accuracy contract: about 1e-12 relative to the scalar recurrence in every
+cell, down to the underflow range, when the forcing decays at least as
 fast as the solution (true of Panjer, whose forcing is a single term, and of
 the light-tailed renewal equations of the cause split). Scalar python loops
 of every kernel live in the test suite as oracles.
@@ -106,7 +105,7 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-_HEAD = 64  # leading terms solved exactly by the term-by-term loop
+_DIRECT = 64  # steps of at most this many terms take np.convolve products
 
 
 def _fft_len(m):
@@ -116,11 +115,16 @@ def _fft_len(m):
     return next(size for size in (5 * p // 8, 3 * p // 4, p) if size >= m)
 
 
-def _tilt(x, b, start=0):
-    # x[..., k] * e^{b (start + k)}, formed as sign * exp(log|x| + b k) so that
-    # e^{b k} on its own, which overflows deep in the lattice, is never built
+def _tilt(x, b):
+    # x[..., k] * e^{b k}, formed as sign * exp(log|x| + b k) in one array so
+    # that e^{b k} on its own, which overflows deep in the lattice, is never built
+    out = np.abs(x)
     with np.errstate(divide="ignore"):  # log 0 = -inf maps back to 0
-        return np.sign(x) * np.exp(np.log(np.abs(x)) + b * np.arange(start, start + x.shape[-1]))
+        np.log(out, out=out)
+    out += b * np.arange(x.shape[-1])
+    np.exp(out, out=out)
+    out *= np.sign(x)
+    return out
 
 
 def _bisect(f, lo, hi, tol):
@@ -191,7 +195,7 @@ def _reciprocal(d, n):
     # (Brent & Kung 1978). A level to m2 terms is cyclic of length
     # _fft_len(m2): d r = 1 + O(z^m), terms m..m2-1 are the error, and the
     # wrap-around lands below m where nothing is read. A level of at most
-    # _HEAD terms forms its two products with np.convolve: two short direct
+    # _DIRECT terms forms its two products with np.convolve: two short direct
     # calls cost less than five FFTs
     sizes = []
     while n > 1:
@@ -200,50 +204,40 @@ def _reciprocal(d, n):
     r = np.ones(1)
     for m2 in reversed(sizes):
         m = r.size
-        size = None if m2 <= _HEAD else _fft_len(m2)
+        size = None if m2 <= _DIRECT else _fft_len(m2)
         r_op = r if size is None else np.fft.rfft(r, size)
         err = _times(r_op, d[:m2], size)[m:m2]
         r = np.concatenate((r, -_times(r_op, err, size)[: m2 - m]))
     return r
 
 
-def _series_recurrence(head, tail, a, kern):
-    # y = T / D truncated to n terms, with T[0] = head, T[k] = tail[k] and
-    # D = 1 - a sum_{i>=1} kern[i] z^i; that is, y[0] = head and
-    # y[k] = tail[k] + a * sum_{i=1}^{k} kern[i] y[k-i]. tail of shape
-    # (r, n) with head of shape (r,) solves r right-hand sides: the tilt,
-    # 1/D and the transforms of both are formed once, the head loop runs a
-    # row at a time and the quotient's three products take all rows in each
-    # transform call, so each row gets the same bits as a call of its own
-    n = np.shape(tail)[-1]
-    y = np.zeros(np.shape(tail))
-    rows = np.reshape(tail, (-1, n))
-    for y_r, tail_r, head_r in zip(y.reshape(rows.shape), rows, np.broadcast_to(head, rows.shape[:1])):
-        y_r[0] = head_r
-        for k in range(1, min(n, _HEAD)):
-            y_r[k] = tail_r[k] + a * np.dot(kern[1 : k + 1], y_r[k - 1 :: -1])
-    if n > _HEAD:
-        b = _lundberg_exponent(a, kern, n)
-        d = -a * _tilt(kern, b)
-        d[0] = 1.0
-        # beyond the head, y = y_head + res / D with res = T - D y_head, all
-        # tilted by e^{b k}, to m more terms. One Karp-Markstein step (1997)
-        # on 1/D to h = ceil(m/2) terms: q0 = (1/D) res to h terms, then
-        # (1/D) (res - D q0)[h:m] for the rest. Each product is cyclic of
-        # length _fft_len(m): (1/D) x has at most 2h - 1 <= m terms, and the
-        # wrap-around of D q0 lands below h, where nothing is read. A step of
-        # at most _HEAD terms takes direct products, as in _reciprocal
-        m = n - _HEAD
-        h = (m + 1) // 2
-        size = None if m <= _HEAD else _fft_len(m)
-        r = _reciprocal(d, h)
-        r_op, d_op = (r, d[:m]) if size is None else (np.fft.rfft(r, size), np.fft.rfft(d[:m], size))
-        res = _tilt(tail[..., _HEAD:], b, _HEAD)
-        for res_r, y_r in zip(res.reshape(-1, m), _tilt(y[..., :_HEAD], b).reshape(-1, _HEAD)):
-            res_r -= np.convolve(d, y_r)[_HEAD:n]
-        q0 = _times(r_op, res[..., :h], size)[..., :h]
-        rest = _times(r_op, res[..., h:] - _times(d_op, q0, size)[..., h:m], size)[..., : m - h]
-        y[..., _HEAD:] = _tilt(np.concatenate((q0, rest), axis=-1), -b, _HEAD)
+def _series_recurrence(rhs, a, kern):
+    # y = T / D truncated to n terms, with T = rhs and D = 1 - a
+    # sum_{i>=1} kern[i] z^i; that is, y[k] = rhs[k] + a * sum_{i=1}^{k}
+    # kern[i] y[k-i]. rhs of shape (r, n) solves r right-hand sides: the
+    # tilt, 1/D and the transforms of both are formed once and the
+    # quotient's three products take all rows in each transform call, so
+    # each row gets the same bits as a call of its own
+    n = rhs.shape[-1]
+    b = _lundberg_exponent(a, kern, n)
+    d = -a * _tilt(kern, b)
+    d[0] = 1.0
+    # all tilted by e^{b k}: one Karp-Markstein step (1997) on 1/D to
+    # h = ceil(n/2) terms, q0 = (1/D) T to h terms, then (1/D) (T - D q0)[h:n]
+    # for the rest. Each product is cyclic of length _fft_len(n): (1/D) x has
+    # at most 2h - 1 <= n terms, and the wrap-around of D q0 lands below h,
+    # where nothing is read. A step of at most _DIRECT terms takes direct
+    # products, as in _reciprocal
+    h = (n + 1) // 2
+    size = None if n <= _DIRECT else _fft_len(n)
+    r = _reciprocal(d, h)
+    r_op, d_op = (r, d) if size is None else (np.fft.rfft(r, size), np.fft.rfft(d, size))
+    t = _tilt(rhs, b)
+    q0 = _times(r_op, t[..., :h], size)[..., :h]
+    rest = _times(r_op, t[..., h:] - _times(d_op, q0, size)[..., h:n], size)[..., : n - h]
+    y = _tilt(np.concatenate((q0, rest), axis=-1), -b)
+    # exact, as D[0] = 1; the FFT products and the tilt leave rounding in it
+    y[..., 0] = rhs[..., 0]
     return y
 
 
@@ -261,9 +255,11 @@ def panjer_compound(p: np.ndarray, q: float, p_tail: np.ndarray | None = None) -
     denom = 1.0 - (1.0 - q) * p[0]
     a = (1.0 - q) / denom
     if p_tail is None:
-        return _series_recurrence(q / denom, np.zeros(p.shape[0]), a, p)
-    forcing = a * np.asarray(p_tail, dtype=np.float64)
-    return _series_recurrence(forcing[0], forcing, a, p)
+        rhs = np.zeros(p.shape[0])
+        rhs[0] = q / denom
+    else:
+        rhs = a * np.asarray(p_tail, dtype=np.float64)
+    return _series_recurrence(rhs, a, p)
 
 
 def lattice_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,9 +281,9 @@ def volterra_march(forcing: np.ndarray, kern: np.ndarray, factor: float, h: floa
     if kern[0] != 0.0:
         raise ValueError("Volterra kernel must vanish at 0 for the explicit march")
     fh = factor * h
-    # the recurrence weights the j=k end point fully; the tail takes half back
-    tail = forcing - 0.5 * fh * kern * forcing[..., :1]
-    return _series_recurrence(forcing[..., 0], tail, fh, kern)
+    # the recurrence weights the j=k end point fully; the right-hand side
+    # takes half back
+    return _series_recurrence(forcing - 0.5 * fh * kern * forcing[..., :1], fh, kern)
 
 
 # ---------------------------------------------------------------------------

@@ -435,8 +435,9 @@ def _flag_actions(command: str) -> dict:
 
 def _apply_config(args) -> None:
     """Fill unset args from a flat key=value file; explicit flags win. A key
-    must be a flag of the subcommand other than --config itself, and its
-    value is cast and checked by that flag's own argparse type and choices."""
+    must be a flag of the subcommand other than --config itself, given once,
+    and its value is cast and checked by that flag's own argparse type and
+    choices."""
     if not getattr(args, "config", None):
         return
     # not keys: --help sets no value, and the file is already being read
@@ -446,6 +447,7 @@ def _apply_config(args) -> None:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {args.config}: {getattr(exc, 'strerror', None) or exc}") from exc
+    seen = set()
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -456,6 +458,9 @@ def _apply_config(args) -> None:
         key = key.strip().replace("-", "_")
         if key not in actions:
             raise UsageError(f"{args.config}:{line_no}: unknown key {key!r}")
+        if key in seen:
+            raise UsageError(f"{args.config}:{line_no}: repeated key {key!r}")
+        seen.add(key)
         if getattr(args, key) is None:
             action = actions[key]
             try:

@@ -584,14 +584,23 @@ def test_config_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
-@pytest.mark.parametrize("line", ["command=table", "config=/nonexistent"])
-def test_config_key_that_is_no_flag_exits_1(tmp_path, capsys, line):
-    # the subcommand and the config file are fixed before the file is read
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param("command=table", "unknown key 'command'", id="command=table"),
+        pytest.param("config=/nonexistent", "unknown key 'config'", id="config=/nonexistent"),
+        # as in a model spec, a key given twice is refused, not its first value kept
+        pytest.param("precision=8", "repeated key 'precision'", id="repeated"),
+    ],
+)
+def test_config_key_that_is_no_flag_exits_1(tmp_path, capsys, line, message):
+    # the subcommand and the config file are fixed before the file is read,
+    # and each key of the file is read once
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"precision=3\n{line}\n")
     rc, out, err = run_cli(["exact", "--model", EXP_MODEL, "--u", "1", "--config", str(cfg)], capsys)
     assert (rc, out) == (1, "")
-    assert err == f"error: {cfg}:2: unknown key {line.split('=')[0]!r}\n"
+    assert err == f"error: {cfg}:2: {message}\n"
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):

@@ -56,20 +56,21 @@ def test_volterra_matches_reference_loop():
     )
 
 
-@pytest.mark.parametrize("n", [65, 1000, 1537, 66, 128, 129, 130, 192, 193, 191, 194])
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 63, 64, 65, 1000, 1537, 66, 128, 129, 130, 192, 193, 191, 194])
 def test_division_matches_reference_loops_across_the_head(n):
-    # sizes just past the exactly-solved head and with uneven Newton doubling
-    # steps; from 66 on, the reciprocal's Newton levels fall on both sides of
-    # the 64 terms where direct products give way to FFTs. At 191 and 194 the
-    # quotient's m = n - 64 terms (odd, then even) split at h = ceil(m / 2) =
-    # 64, then 65, on either side of that limit
+    # every size runs the quotient: one or two terms, sizes where its step
+    # stays direct, and uneven Newton doubling steps; from 66 on, the
+    # reciprocal's Newton levels fall on both sides of the 64 terms where
+    # direct products give way to FFTs. At 128 and 129 (even, then odd) the
+    # quotient's step splits at h = ceil(n / 2) = 64, then 65, on either
+    # side of that limit
     m = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.1)
     p = discretize_ladder(m, 0.1, n).p_lower
     np.testing.assert_allclose(panjer_compound(p, m.q), _panjer_compound_py(p, m.q), rtol=1e-12)
     x = np.linspace(0.0, 5.0, n)
     kern = x * np.exp(-x)
     forcing = np.exp(-2.0 * x)
-    h = x[1]
+    h = x[1] if n > 1 else 0.01
     np.testing.assert_allclose(
         volterra_march(forcing, kern, 0.9, h), _volterra_march_py(forcing, kern, 0.9, h), rtol=1e-12
     )
@@ -92,16 +93,35 @@ def test_volterra_stacked_forcing_matches_row_by_row(n):
             np.testing.assert_allclose(row, _volterra_march_py(f, kern, 0.9, h), rtol=1e-12)
 
 
-def test_leading_terms_do_not_depend_on_length(ladder):
-    p = ladder.p_lower
-    x = np.linspace(0.0, 40.0, p.size)
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 1000])
+def test_first_term_is_the_right_hand_side(ladder, n):
+    # y[0] = rhs[0] exactly, as D[0] = 1, and a zero there stays +0.0
+    p = ladder.p_lower[:n]
+    q = 0.1
+    g = panjer_compound(p, q)
+    assert g[0] == q / (1.0 - (1.0 - q) * p[0])
+    tail = np.linspace(1.0, 0.5, n)
+    assert panjer_compound(p, q, tail)[0] == (1.0 - q) / (1.0 - (1.0 - q) * p[0]) * tail[0]
+    tail[0] = 0.0
+    assert not np.signbit(panjer_compound(p, q, tail)[0])
+    x = np.linspace(0.0, 5.0, n)
     kern = x * np.exp(-x)
-    forcing = np.exp(-2.0 * x)
-    head_p = panjer_compound(p[:64], 0.1)
-    head_v = volterra_march(forcing[:64], kern[:64], 0.9, x[1])
-    for n in (65, 200, p.size):
-        assert np.array_equal(panjer_compound(p[:n], 0.1)[:64], head_p)
-        assert np.array_equal(volterra_march(forcing[:n], kern[:n], 0.9, x[1])[:64], head_v)
+    forcing = np.stack((np.exp(-2.0 * x), x * np.exp(-x)))
+    y = volterra_march(forcing, kern, 0.9, 0.01)
+    assert y[0, 0] == 1.0
+    assert y[1, 0] == 0.0 and not np.signbit(y[1, 0])
+
+
+def test_tilt_is_the_sign_times_the_exp_of_the_log(ladder):
+    # the in-place steps give the bits of the expression they stand for
+    rng = np.random.default_rng(27)
+    x = np.stack((ladder.p_lower, rng.normal(size=ladder.p_lower.size)))
+    x[:, ::7] = 0.0
+    k = np.arange(x.shape[-1])
+    for b in (0.0, 0.3, -0.3, 1.7):
+        with np.errstate(divide="ignore"):
+            expected = np.sign(x) * np.exp(np.log(np.abs(x)) + b * k)
+        assert np.array_equal(_kernels._tilt(x, b), expected)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -147,8 +167,8 @@ def test_fft_len_is_the_smallest_fast_size():
 
 
 def test_division_transforms_no_longer_than_the_quotient(monkeypatch):
-    # the quotient beyond the head has m = n - 64 terms: no product is
-    # longer than _fft_len(m), none of the double length 2m - 1
+    # no product of the n-term quotient is longer than _fft_len(n), none of
+    # the double length 2n - 1
     model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.01)
     n = 40001
     lad = discretize_ladder(model, 0.005, n)
@@ -165,7 +185,7 @@ def test_division_transforms_no_longer_than_the_quotient(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", spy(np.fft.rfft))
     monkeypatch.setattr(np.fft, "irfft", spy(np.fft.irfft))
-    limit = _kernels._fft_len(n - 64)
+    limit = _kernels._fft_len(n)
     panjer_compound(lad.p_lower, model.q)
     assert lengths and max(lengths) == limit
     lengths.clear()
