@@ -5,17 +5,18 @@ truncated power-series division y = T / D with D = 1 - a * sum_{i>=1}
 kern[i] z^i, that is y[k] = T[k] + a * sum_{i=1}^{k} kern[i] y[k-i].
 _series_recurrence solves it in O(n log n) for all n terms at once:
 
-* the reciprocal 1/D comes from Newton doubling with real-FFT products
-  (Brent & Kung 1978; Hairer, Lubich & Schlichte 1985 for the Volterra
-  case), but only to h = ceil(n/2) terms: one Karp-Markstein step (1997)
-  takes the quotient from there, q0 = (1/D) T to h terms, then
-  (1/D) (T - D q0) for the other n - h. Each Newton level is that step with
-  T = 1. No transform is longer than _fft_len(n), where a full product of
-  1/D to n terms with T would need twice that. Steps of at most _DIRECT
-  terms form their products with np.convolve, where the FFT calls would
-  each cost more than the whole product. y[0] = T[0] is set exactly, as
-  D[0] = 1. The tilt and 1/D are a fixed cost of each call, which a scalar
-  loop would undercut below about 60 terms;
+* one halving step, applied recursively (_quotient): T / D to n terms
+  from r = 1/D to h = ceil(n/2) terms by one Karp-Markstein step (1997),
+  q0 = r T to h terms, then -r (D q0 - T) for the other n - h, with
+  real-FFT products. r comes from the same step on T = 1, which is a
+  Newton level r - r (D r - 1) (Brent & Kung 1978; Hairer, Lubich &
+  Schlichte 1985 for the Volterra case), down to 1/D = 1 at one term. No
+  transform is longer than _fft_len(n), where a full product of 1/D to n
+  terms with T would need twice that. Steps of at most _DIRECT terms form
+  their products with np.convolve, where the FFT calls would each cost
+  more than the whole product. y[0] = T[0] is set exactly, as D[0] = 1.
+  The tilt and 1/D are a fixed cost of each call, which a scalar loop
+  would undercut below about 60 terms;
 * an FFT product is accurate only relative to its largest term, so both
   series are first tilted by e^{b k}, with b >= 0 the root of the lattice
   Lundberg equation a * sum kern[i] e^{b i} = 1. The tilted solution is
@@ -176,39 +177,43 @@ def _lundberg_exponent(a, kern, n):
 def _times(left, x, size):
     # x times a series at hand, each row of x for x of shape (r, k):
     # np.convolve with its coefficients left when size is None, a row at a
-    # time (x is empty only past a one-term step), else a cyclic product of
-    # length size with its transform left, all rows in one rfft and one
-    # irfft, which give each row the bits of a call of its own. out= keeps
-    # left the left operand: left * <large temporary> would reuse the
-    # temporary and swap the operands, and complex products with FMA round
-    # apart in the two orders
+    # time, else a cyclic product of length size with its transform left,
+    # all rows in one rfft and one irfft, which give each row the bits of a
+    # call of its own. out= keeps left the left operand: left * <large
+    # temporary> would reuse the temporary and swap the operands, and
+    # complex products with FMA round apart in the two orders
     if size is None:
         if x.ndim == 2:
             return np.array([_times(left, row, None) for row in x])
-        return np.convolve(x, left) if x.size else x
+        return np.convolve(x, left)
     x_hat = np.fft.rfft(x, size)
     return np.fft.irfft(np.multiply(left, x_hat, out=x_hat), size)
 
 
-def _reciprocal(d, n):
-    # first n terms of 1/d(z), d[0] = 1: Newton doubling r <- r - r (d r - 1)
-    # (Brent & Kung 1978). A level to m2 terms is cyclic of length
-    # _fft_len(m2): d r = 1 + O(z^m), terms m..m2-1 are the error, and the
-    # wrap-around lands below m where nothing is read. A level of at most
-    # _DIRECT terms forms its two products with np.convolve: two short direct
-    # calls cost less than five FFTs
-    sizes = []
-    while n > 1:
-        sizes.append(n)
-        n = (n + 1) // 2
-    r = np.ones(1)
-    for m2 in reversed(sizes):
-        m = r.size
-        size = None if m2 <= _DIRECT else _fft_len(m2)
-        r_op = r if size is None else np.fft.rfft(r, size)
-        err = _times(r_op, d[:m2], size)[m:m2]
-        r = np.concatenate((r, -_times(r_op, err, size)[: m2 - m]))
-    return r
+def _quotient(t, d, n):
+    # first n terms of t(z) / d(z), d[0] = 1, t = None standing for 1: one
+    # Karp-Markstein step (1997) from r = 1/d to h = ceil(n/2) terms, itself
+    # this function on t = 1. q0 = r t to h terms, then -r (d q0 - t) for
+    # terms h..n-1. Each product is cyclic of length _fft_len(n): r x has at
+    # most 2h - 1 <= n terms, and the wrap-around of d q0 lands below h,
+    # where nothing is read. For t = 1 the step is Newton's r - r (d r - 1)
+    # (Brent & Kung 1978) with q0 = r, and d r reuses r's transform. A step
+    # of at most _DIRECT terms forms its products with np.convolve, where
+    # the FFT calls would each cost more than the whole product
+    if n == 1:
+        return np.ones(1) if t is None else t[..., :1]
+    h = (n + 1) // 2
+    r = _quotient(None, d, h)
+    size = None if n <= _DIRECT else _fft_len(n)
+    r_op = r if size is None else np.fft.rfft(r, size)
+    if t is None:
+        q0 = r
+        err = _times(r_op, d[:n], size)[h:n]
+    else:
+        q0 = _times(r_op, t[..., :h], size)[..., :h]
+        d_op = d[:n] if size is None else np.fft.rfft(d[:n], size)
+        err = _times(d_op, q0, size)[..., h:n] - t[..., h:n]
+    return np.concatenate((q0, -_times(r_op, err, size)[..., : n - h]), axis=-1)
 
 
 def _series_recurrence(rhs, a, kern):
@@ -222,20 +227,7 @@ def _series_recurrence(rhs, a, kern):
     b = _lundberg_exponent(a, kern, n)
     d = -a * _tilt(kern, b)
     d[0] = 1.0
-    # all tilted by e^{b k}: one Karp-Markstein step (1997) on 1/D to
-    # h = ceil(n/2) terms, q0 = (1/D) T to h terms, then (1/D) (T - D q0)[h:n]
-    # for the rest. Each product is cyclic of length _fft_len(n): (1/D) x has
-    # at most 2h - 1 <= n terms, and the wrap-around of D q0 lands below h,
-    # where nothing is read. A step of at most _DIRECT terms takes direct
-    # products, as in _reciprocal
-    h = (n + 1) // 2
-    size = None if n <= _DIRECT else _fft_len(n)
-    r = _reciprocal(d, h)
-    r_op, d_op = (r, d) if size is None else (np.fft.rfft(r, size), np.fft.rfft(d, size))
-    t = _tilt(rhs, b)
-    q0 = _times(r_op, t[..., :h], size)[..., :h]
-    rest = _times(r_op, t[..., h:] - _times(d_op, q0, size)[..., h:n], size)[..., : n - h]
-    y = _tilt(np.concatenate((q0, rest), axis=-1), -b)
+    y = _tilt(_quotient(_tilt(rhs, b), d, n), -b)
     # exact, as D[0] = 1; the FFT products and the tilt leave rounding in it
     y[..., 0] = rhs[..., 0]
     return y

@@ -60,7 +60,6 @@ class DiscretizedLadder:
     lattice_width: float
     p_lower: np.ndarray
     p_upper: np.ndarray
-    truncation_index: int
     mass_deficit: float
     tail: np.ndarray  # 1 - H3 at the cell edges 0, w, ..., n_points * w
 
@@ -81,6 +80,8 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
     edges, which is kept as `tail`.
     """
     _check_width(lattice_width)
+    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
+        raise ValueError(f"n_points must be an integer, got {n_points!r}")
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     edges = np.arange(n_points + 1) * lattice_width
@@ -93,7 +94,6 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
         lattice_width=float(lattice_width),
         p_lower=p_lower,
         p_upper=p_upper,
-        truncation_index=int(n_points),
         mass_deficit=float(tail[-2]),  # 1 - sum(p_upper)
         tail=tail,
     )

@@ -115,6 +115,9 @@ def decompose_ruin(
     for name, value in (("u_max", u_max), ("step", step)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    # 2.5 would fail only after the march, at the subsampling slice, and True run as 1
+    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)):
+        raise ValueError(f"refine must be an integer, got {refine!r}")
     if refine < 1:
         raise ValueError("refine must be at least 1")
     tau = model.tau

@@ -53,6 +53,22 @@ class TestDiscretizeLadder:
             with pytest.raises(ValueError, match="lattice_width"):
                 discretize_ladder(exp_model, width, 50)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, True, "3"])
+    def test_n_points_must_be_an_integer(self, monkeypatch, exp_model, n_points):
+        # refused before the ladder is evaluated, not inside numpy
+        def no_ladder(*args):
+            raise AssertionError("the ladder was evaluated")
+
+        monkeypatch.setattr(type(exp_model.claims), "_ladder", no_ladder)
+        with pytest.raises(ValueError, match=f"n_points must be an integer, got {n_points!r}"):
+            discretize_ladder(exp_model, 0.1, n_points)
+
+    def test_n_points_may_be_a_numpy_integer(self, exp_model):
+        lad = discretize_ladder(exp_model, 0.1, np.int64(50))
+        ref = discretize_ladder(exp_model, 0.1, 50)
+        assert np.array_equal(lad.p_lower, ref.p_lower) and np.array_equal(lad.p_upper, ref.p_upper)
+        assert np.array_equal(lad.tail, ref.tail)
+
 
 class TestPublishedConvention:
     """Replicates the external tabulation's bound columns (see the frozen

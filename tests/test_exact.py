@@ -226,6 +226,23 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="step"):
                 decompose_ruin(exp_model, 1.0, step=bad)
 
+    @pytest.mark.parametrize("refine", [2.5, 4.0, True, "4"])
+    def test_refine_must_be_an_integer(self, monkeypatch, exp_model, refine):
+        # refused before the ladder is evaluated: 2.5 and 4.0 once ran the
+        # whole march and failed at the subsampling slice, and True ran as 1
+        def no_ladder(*args):
+            raise AssertionError("the ladder was evaluated")
+
+        monkeypatch.setattr(type(exp_model.claims), "_ladder", no_ladder)
+        with pytest.raises(ValueError, match=f"refine must be an integer, got {refine!r}"):
+            decompose_ruin(exp_model, 1.0, step=0.05, refine=refine)
+
+    def test_refine_may_be_a_numpy_integer(self, exp_model):
+        dec = decompose_ruin(exp_model, 1.0, step=0.05, refine=np.int64(2))
+        ref = decompose_ruin(exp_model, 1.0, step=0.05, refine=2)
+        assert np.array_equal(dec.psi1.values, ref.psi1.values)
+        assert np.array_equal(dec.psi2.values, ref.psi2.values)
+
     def test_sigma_zero_has_no_split(self):
         classical = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.1)
         with pytest.raises(ValueError, match=r"the cause split requires a diffusion term \(sigma > 0\)"):

@@ -194,6 +194,70 @@ def test_division_transforms_no_longer_than_the_quotient(monkeypatch):
     assert limit == 40960  # 5 * 2^13; the smallest 2^k or 3 * 2^k is 49152
 
 
+@pytest.mark.parametrize("n, calls", [(40001, (32, 21, 12)), (501, (11, 7, 12))])
+def test_division_transform_counts(monkeypatch, n, calls):
+    # the cost of one division: each Newton level transforms 1/D once and
+    # reuses that transform for D (1/D); only the last step transforms D.
+    # Direct steps take np.convolve, one call a product, and a second row
+    # of the right-hand side adds no transform
+    model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.01)
+    lad = discretize_ladder(model, 200.0 / (n - 1), n)
+    x = np.linspace(0.0, 200.0, n)
+    forcing = np.stack((np.exp(-2.0 * x), 0.3 * (1.0 + x) * np.exp(-3.0 * x)))
+    counts = dict.fromkeys(("rfft", "irfft", "convolve"), 0)
+
+    def spy(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", spy("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", spy("irfft", np.fft.irfft))
+    monkeypatch.setattr(np, "convolve", spy("convolve", np.convolve))
+    for run in (
+        lambda: panjer_compound(lad.p_lower, model.q),
+        lambda: panjer_compound(lad.p_upper, model.q, lad.tail[:-1]),
+        lambda: volterra_march(forcing, x * np.exp(-x), 0.9, x[1]),
+    ):
+        counts.update(dict.fromkeys(counts, 0))
+        run()
+        assert (counts["rfft"], counts["irfft"], counts["convolve"]) == calls
+
+
+def _tilted_panjer_denominator(n):
+    # D as _series_recurrence forms it for a Panjer call on a ladder
+    model = PerturbedModel(Exponential(1.0), lam=1.0, sigma=1.0, loading=0.1)
+    kern = discretize_ladder(model, 0.1, n).p_lower
+    a = (1.0 - model.q) / (1.0 - (1.0 - model.q) * kern[0])
+    d = -a * _kernels._tilt(kern, _kernels._lundberg_exponent(a, kern, n))
+    d[0] = 1.0
+    return d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 129, 1000])
+def test_reciprocal_times_the_denominator_is_one(n):
+    d = _tilted_panjer_denominator(n)
+    r = _kernels._quotient(None, d, n)
+    assert r.shape == (n,)
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    np.testing.assert_allclose(np.convolve(r, d)[:n], unit, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_quotient_rows_are_their_one_row_calls(n):
+    # n = 40 takes direct products row by row, n = 1000 stacked transforms
+    d = _tilted_panjer_denominator(n)
+    k = np.arange(n)
+    t = np.stack((np.exp(-0.01 * k), (1.0 + k) * np.exp(-0.02 * k)))
+    both = _kernels._quotient(t, d, n)
+    assert both.shape == t.shape
+    for row, t_row in zip(both, t):
+        assert np.array_equal(row, _kernels._quotient(t_row, d, n))
+
+
 def _scan_cases():
     rng = np.random.default_rng(15)
     n = 5000
