@@ -35,8 +35,12 @@ _series_recurrence solves it in O(n log n) for all n terms at once:
 Accuracy contract: about 1e-12 relative to the scalar recurrence in every
 cell, down to the underflow range, when the forcing decays at least as
 fast as the solution (true of Panjer, whose forcing is a single term, and of
-the light-tailed renewal equations of the cause split). Scalar python loops
-of every kernel live in the test suite as oracles.
+the light-tailed renewal equations of the cause split). A forcing that
+decays more slowly, or a kernel of mass a * sum kern[i] >= 1 whose solution
+grows, leaves the float range once tilted: one isfinite pass over the
+result turns that into a ValueError naming the cause, with no numpy
+warning. Scalar python loops of every kernel live in the test suite as
+oracles.
 
 The Monte Carlo kernel draws from a counter-based splitmix64 stream keyed by
 (seed, path index): draw number ctr of a path is finalize(key_path +
@@ -46,12 +50,19 @@ is finalize(state + j * GOLDEN), and an event of m draws adds m * GOLDEN.
 Events run in blocks: n live lanes run k = _BLOCK // n events at once
 (within [1, _KMAX]), so each numpy call spans about _BLOCK lane-events even
 when few lanes are left. A block draws the fixed uniforms of its k events
-as one (k * m, n) block: the wait, the Box-Muller pair and the bridge when
-sigma > 0, and the _mc_draws rows of which the claim class makes its claims
-(one for exponential, two for a mixture; _mc_claims in claims.py). Waits,
-Box-Muller, claims, sqrt(dt) and the bridge's exp each run once over the
-block; the running sums of time and surplus run a row at a time in event
-order, and a row loop over an alive mask finds where each lane ends. A lane
+as one (k, m', n) block: the wait, the Box-Muller pair when sigma > 0, and
+the _mc_draws rows of which the claim class makes its claims (one for
+exponential, two for a mixture; _mc_claims in claims.py). Waits,
+Box-Muller, claims and sqrt(dt) each run once over the block; the running
+sums of time and surplus run a row at a time in event order, and a row loop
+over an alive mask finds where each lane ends. The Brownian bridge between
+claims hits when its uniform u < e^cross, cross = -2 v0 v1 / (sigma^2 dt).
+Every uniform is (j + 1) 2^-53 >= 2^-53 > e^-40, so a lane-event with cross
+<= -40 (most of them: the surplus sits far above 0), one already hit, one
+with dt <= 0 or a NaN cross is decided without its draw. The bridge's
+uniform, draw i*m + 3 of the block, and its exp are formed only on the
+other lane-events, from the block's starting states: the stream is
+counter-based, so skipping a draw moves no other. A lane
 computes on past its end to the end of the block and those values are
 never read, so every path counts exactly what its own stream gives; the
 live lanes are compacted once per block. Gamma claims draw a varying number
@@ -225,12 +236,34 @@ def _series_recurrence(rhs, a, kern):
     # each row gets the same bits as a call of its own
     n = rhs.shape[-1]
     b = _lundberg_exponent(a, kern, n)
-    d = -a * _tilt(kern, b)
-    d[0] = 1.0
-    y = _tilt(_quotient(_tilt(rhs, b), d, n), -b)
+    # a right-hand side that decays more slowly than e^{-b k} leaves the
+    # float range once tilted, and NaN spreads through the products: the one
+    # isfinite pass below turns that into an error, not a warning and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = -a * _tilt(kern, b)
+        d[0] = 1.0
+        y = _tilt(_quotient(_tilt(rhs, b), d, n), -b)
+    if not np.isfinite(y).all():
+        raise _division_error(rhs, a, kern[:n], b)
     # exact, as D[0] = 1; the FFT products and the tilt leave rounding in it
     y[..., 0] = rhs[..., 0]
     return y
+
+
+def _division_error(rhs, a, kern, b):
+    # why a division left the float range, found only once it has
+    if not (np.isfinite(rhs).all() and np.isfinite(kern).all() and math.isfinite(a)):
+        return ValueError("series division: the right-hand side, kernel or factor is not finite")
+    mass = a * float(kern[1:].sum())
+    if mass >= 1.0:
+        return ValueError(
+            f"series division: a * sum(kern[1:]) = {mass:.6g} is at least 1, so the "
+            "solution does not decay and leaves the float range"
+        )
+    return ValueError(
+        "series division: the right-hand side decays more slowly than the solution's "
+        f"e^(-b k), b = {b:.6g}; tilted by e^(b k) it leaves the float range"
+    )
 
 
 def panjer_compound(p: np.ndarray, q: float, p_tail: np.ndarray | None = None) -> np.ndarray:
@@ -333,12 +366,15 @@ def _mix(z):
     return z
 
 
-def _uniforms(state, m):
-    """(m, n) block of uniforms on (0, 1], never 0 so logs are safe; draw j
-    of lane i is from state[i] + j GOLDEN. The caller advances the state."""
-    z = _mix(state + _STRIDE[:m, None])
+def _uniforms(state, offset):
+    """Uniforms (j + 1) 2^-53 on [2^-53, 1], never 0 so logs are safe, of the
+    draws finalize(state + offset), offset broadcast against state: a column
+    _STRIDE[rows, None] gives a (rows, n) block whose row r draws
+    state[i] + rows[r] GOLDEN for lane i, and a scalar one uniform a lane.
+    The caller advances the state."""
+    z = _mix(state + offset)
     z >>= _SH11
-    # converted in place, below 2^53 exactly: no second (m, n) block
+    # converted in place, below 2^53 exactly: no second block
     u = np.add(z.view(np.int64), 1.0, out=z.view(np.float64))
     u *= _INV53
     return u
@@ -358,7 +394,7 @@ def _gamma_mt(state, shape):
     todo = np.arange(state.size)
     while todo.size:
         s = state[todo]
-        u = _uniforms(s, 3)
+        u = _uniforms(s, _STRIDE[:3, None])
         z = np.sqrt(-2.0 * np.log(u[0])) * np.cos(2.0 * np.pi * u[1])
         x = 1.0 + cc * z
         pos = x > 0.0
@@ -376,7 +412,7 @@ def _gamma_claim(state, shape, rate):
     if shape >= 1.0:
         return _gamma_mt(state, shape) / rate
     g = _gamma_mt(state, shape + 1.0)
-    u = _uniforms(state, 1)[0]
+    u = _uniforms(state, _STRIDE[0])
     state += _GOLDEN
     return g * u ** (1.0 / shape) / rate
 
@@ -425,11 +461,16 @@ def _block(state, v, t, model, horizon):
     draws = claims._mc_draws
     n = state.size
     k = 1 if draws is None else min(max(_BLOCK // n, 1), _KMAX)
-    # the event's fixed draws: wait, then Box-Muller pair and bridge, then
-    # claim; draw j of event i is row i*m + j, as when events ran one by one
-    j_claim = 4 if sigma > 0.0 else 1
-    m = j_claim + (draws or 0)
-    u = _uniforms(state, k * m).reshape(k, m, n)
+    # the event's draws: wait, then Box-Muller pair and bridge when sigma > 0,
+    # then claim; draw j of event i is number i*m + j of the block, as when
+    # events ran one by one. u holds all but the bridge's (j = 3), which is
+    # drawn below on the lanes it can still decide
+    m = (4 if sigma > 0.0 else 1) + (draws or 0)
+    off = _STRIDE[: k * m].reshape(k, m, 1)  # off[i, j]: draw j of event i
+    u = _uniforms(state, np.delete(off, 3, axis=1) if sigma > 0.0 else off)
+    # the bridge draws from the block's first states, k*m draws behind state
+    # after this line, or a copy of them where the claims move state on
+    first = state.copy() if sigma > 0.0 and draws is None else None
     state += _STRIDE[k * m]
     # the rows are consumed in place, and each step runs once over the whole
     # block but the running sums of t and v, which go a row at a time in
@@ -453,12 +494,12 @@ def _block(state, v, t, model, horizon):
         np.sqrt(z, out=z)
         w = np.multiply(u[:, 2], 2.0 * np.pi, out=u[:, 2])
         z *= np.cos(w, out=w)
-        cross = np.sqrt(dt)  # the diffusion's scale, then the bridge's crossing chance
+        cross = np.sqrt(dt)  # the diffusion's scale, then the bridge's exponent
         cross *= sigma
         z *= cross
     # every lane draws its claim: a lane censored at the horizon or hit
     # discards it, and a gamma lane that ends discards its advanced state
-    x = claims._mc_claims(u[:, j_claim:], state)
+    x = claims._mc_claims(u[:, 3 if sigma > 0.0 else 1 :], state)
     # v1[i]: the surplus before claim i; x[i] becomes the surplus after it
     v_prev = v
     for i in range(k):
@@ -472,8 +513,16 @@ def _block(state, v, t, model, horizon):
         np.multiply(x[:-1], -2.0, out=cross[1:])
         cross *= v1
         cross /= dt * (sigma * sigma)
-        np.exp(cross, out=cross)
-        hit |= (u[:, 3] < cross) & (dt > 0.0)  # lanes already hit discard their bridge draw
+        # the bridge hits where its uniform is below e^cross; every uniform
+        # is at least 2^-53 > e^-40, so lanes with cross <= -40 or NaN, lanes
+        # with dt <= 0 and lanes already hit are decided without their draw
+        f = np.flatnonzero((cross > -40.0) & (dt > 0.0) & ~hit)
+        # lane-event f = i n + l draws number i*m + 3 of lane l
+        if first is None:
+            draw = (state + (off[:, 3] - _STRIDE[k * m])).take(f)
+        else:
+            draw = (first + off[:, 3]).take(f)
+        hit.flat[f] = _uniforms(draw, _STRIDE[0]) < np.exp(cross.take(f))
         stop = hit | final_seg
     else:
         stop = final_seg

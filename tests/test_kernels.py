@@ -1,5 +1,7 @@
 """The numpy kernels against the scalar reference loops in _reference_kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,58 @@ def test_volterra_rejects_nonzero_kernel_origin():
     kern = np.ones(10)
     with pytest.raises(ValueError):
         volterra_march(forcing, kern, 1.0, 0.1)
+
+
+def _even_cells(n, first):
+    # p[2j] = 2^-j from j = first on, zero elsewhere
+    p = np.zeros(n)
+    j = np.arange(first, (n + 1) // 2)
+    p[2 * j] = 2.0**-j
+    return p
+
+
+@pytest.mark.parametrize("n", [10001, 40001])
+def test_slow_decaying_right_hand_side_is_refused(n):
+    # b is about 0.081 and a linear tail decays more slowly than e^{-b k}:
+    # tilted, it passes the float range near k = 8750. At n = 5000 the same
+    # call is finite
+    p = _even_cells(n, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"right-hand side decays more slowly .* b = 0\.081"):
+            panjer_compound(p, 0.3, np.linspace(1.0, 0.0, n))
+        assert np.isfinite(panjer_compound(p[:5000], 0.3, np.linspace(1.0, 0.0, 5000))).all()
+
+
+def test_slow_decaying_forcing_is_refused():
+    # a constant forcing against a kernel of mass 1/2: the solution tends to
+    # 2, but the forcing tilted by e^{b k}, b about 0.049, overflows
+    h = 0.1
+    kern = np.exp(-h * np.arange(20001))
+    kern[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="right-hand side decays more slowly"):
+            volterra_march(np.ones((2, 20001)), kern, 0.5, h)
+
+
+@pytest.mark.parametrize("n", [5000, 10001, 40001])
+def test_growing_solution_is_refused(n):
+    # p[0] = 1 as well: a = (1 - q) / (1 - (1 - q)) = 7/3 against a kernel of
+    # mass 1 past cell 0, so the solution grows and nothing tilts it back
+    p = _even_cells(n, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"= 2\.33333 is at least 1"):
+            panjer_compound(p, 0.3, np.linspace(1.0, 0.0, n))
+
+
+def test_non_finite_right_hand_side_is_refused():
+    p = np.full(100, 0.01)
+    rhs = np.ones(100)
+    rhs[50] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        panjer_compound(p, 0.3, rhs)
 
 
 class TestBisect:

@@ -236,13 +236,15 @@ def test_counts_do_not_depend_on_the_block_size(args, counts, monkeypatch):
     # one event a block whatever _BLOCK is
     model = args[3]
     draws = model.claims._mc_draws
-    event_draws = (4 if model.sigma > 0.0 else 1) + (draws or 0)
+    # an event's draws that its block holds: the bridge's is drawn apart
+    event_draws = (3 if model.sigma > 0.0 else 1) + (draws or 0)
     rows = []  # rows of every draw; list.append is safe from the share threads
     uniforms = _kernels._uniforms
 
-    def spy(state, m):
-        rows.append(m)
-        return uniforms(state, m)
+    def spy(state, offset):
+        u = uniforms(state, offset)
+        rows.append(u.size // state.size if state.size else 0)  # uniforms a lane
+        return u
 
     monkeypatch.setattr(_kernels, "_uniforms", spy)
     for block in (1, _kernels._BLOCK, 2**20):
@@ -255,6 +257,62 @@ def test_counts_do_not_depend_on_the_block_size(args, counts, monkeypatch):
                 assert max(rows) <= event_draws
             else:
                 assert max(rows) > event_draws  # a block of several events ran
+
+
+def test_the_bridge_draws_only_where_it_can_decide(monkeypatch):
+    # at theta = 0.01 and horizon 2000 most bridge exponents lie far below
+    # -40, where no uniform can fall under e^cross: those lane-events, and
+    # those already hit, draw no bridge uniform
+    args = _oracle_case("exp", 5, 20_000, 1.0, 2000.0, c=1.01)[0]
+    lane_events = []
+    bridge = []
+    uniforms = _kernels._uniforms
+
+    def spy(state, offset):
+        if np.ndim(offset) == 3:  # a block: (k, 3 fixed draws + claim, 1)
+            lane_events.append(offset.shape[0] * state.size)
+        else:  # one bridge uniform a lane-event
+            bridge.append(state.size)
+        return uniforms(state, offset)
+
+    monkeypatch.setattr(_kernels, "_uniforms", spy)
+    assert mc_ruin_paths(*args) == (7180, 12361)
+    assert 0 < sum(bridge) <= 0.15 * sum(lane_events)
+
+
+def test_no_uniform_falls_below_the_bridge_cut():
+    # the bridge skips its draw where cross <= -40: every uniform is
+    # (j + 1) 2^-53 >= 2^-53, above e^-40 in math's and numpy's exp
+    assert math.exp(-40.0) < 2.0**-53
+    assert np.exp(-40.0) < 2.0**-53
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        state = _kernels._mix(np.arange(1, 100_001, dtype=np.uint64) * _kernels._GOLDEN)
+        u = _kernels._uniforms(state, _kernels._STRIDE[:10, None])
+        # state 0 finalizes to 0, the smallest uniform
+        floor = _kernels._uniforms(np.zeros(1, dtype=np.uint64), _kernels._STRIDE[0])
+    assert u.shape == (10, 100_000)
+    assert u.min() >= 2.0**-53 and u.max() <= 1.0
+    assert floor[0] == 2.0**-53
+
+
+# counts frozen before the bridge skipped its draw; u0 = 0 puts every lane's
+# first bridge exponent at 0, and sigma = 0.05 nearly all of them below -40
+@pytest.mark.parametrize(
+    "sampler, sigma, u0, seed, horizon, counts",
+    [
+        ("exp", 0.05, 0.01, 1, 50.0, (12, 19856)),
+        ("exp", 5.0, 2.0, 2**64 - 1, 2.0, (26735, 1965)),
+        ("gamma0.5", 3.0, 2.0, 2**64 - 1, 50.0, (20897, 6287)),
+        ("gamma0.5", 1.0, 0.01, 1, 2.0, (38377, 648)),
+        ("mixture", 3.0, 0.0, 0, 2.0, (40000, 0)),
+        ("mixture", 0.05, 2.0, 2**64 - 1, 50.0, (5, 19232)),
+    ],
+    ids=["exp-s0.05-h50", "exp-s5-seedmax", "gamma0.5-s3-seedmax", "gamma0.5-s1-h2", "mixture-u0", "mixture-s0.05"],
+)
+def test_bridge_stress_counts(sampler, sigma, u0, seed, horizon, counts):
+    claims = SAMPLERS[sampler][0]
+    model = PerturbedModel(claims, lam=1.0, sigma=sigma, premium_rate=2.0)
+    assert mc_ruin_paths(seed, 40_000, u0, model, horizon) == counts
 
 
 def test_gamma_sampler_matches_the_scalar_oracle():
