@@ -87,7 +87,9 @@ thousand lanes lasts microseconds, and two threads would spend that time
 handing the GIL back and forth.
 
 The ladder integral (claims.py) and the lattice record (bounds.py) are one
-positive block scan, _decay_scan.
+positive block scan, _decay_scan. The gamma claim law's four tail functions
+are one incomplete gamma kernel, _incomplete_gamma: a series below y = a + 1
+and a continued fraction from there, each a sum of positive terms.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from functools import cache
 
 import numpy as np
 
@@ -335,6 +338,184 @@ def _decay_scan(x, pos, rate):
         out[s:stop] = np.exp(-lag) * (head + np.cumsum(x[s:stop] * np.exp(lag)))
         s = stop
     return out
+
+
+# ---------------------------------------------------------------------------
+# regularized incomplete gamma functions: the gamma claim law
+# ---------------------------------------------------------------------------
+
+# the series keeps its terms down to this, against a sum of at least 1
+_SERIES_TOL = 2.0**-60
+# Lentz's run stops once a step moves the fraction by less than this
+_LENTZ_TOL = 2.0**-56
+_LENTZ_TINY = 1e-300
+# exp of an argument below this is 0 (the smallest subnormal is e^-744.44)
+_EXP_FLOOR = -745.2
+
+
+def _incomplete_gamma(a, y, integrated=False):
+    """(P, Q) of shape a at the points y, or with integrated=True (I, U):
+
+    P(a, y) and Q(a, y) = 1 - P, the regularized incomplete gamma functions;
+    I = int_0^y Q(a, t) dt = y Q(a, y) + a P(a+1, y) and
+    U = int_y^inf Q(a, t) dt = a Q(a+1, y) - y Q(a, y), so I + U = a.
+    Both arrays have y's shape. Each is formed on the side where it is a sum
+    of positive terms, so it is relative down to the underflow range, and
+    its partner is 1 or a less it (Numerical Recipes, 3rd ed., 6.2):
+
+    * below y = a + 1 the series P = D (1 + z S) / a, z = y / (a+1),
+      S = sum_n z^n prod_{k=1..n} (a+1) / (a+1+k), summed by Horner to the
+      depth that the largest z needs (_series_terms), and
+      a P(a+1, y) = D z S from the same sum;
+    * from a + 1 the Legendre continued fraction Q = D / (y + 1 - a - t),
+      t = 1 (1-a) / (y + 3 - a - 2 (2-a) / (y + 5 - a - ...)), evaluated
+      backward at a fixed depth per band [(a+1) 4^j, (a+1) 4^(j+1)): one
+      scalar Lentz run at the band's lower edge sets it (_fraction_depth),
+      and the fraction converges faster as y grows. U = Q (1 - t), as
+      a Q(a+1) = a Q + D; nothing cancels.
+
+    D = y^a e^-y / Gamma(a) is exp(a log y - lgamma(a) - y), with the
+    rounding of the last subtraction carried to first order (Knuth's
+    TwoSum), so that its error grows as a log y and not as y. A point whose
+    D underflows (y at or past _underflow_edge) takes Q = U = 0 without the
+    fraction; y <= 0 takes P = 0, I = y, and NaN gives NaN.
+    """
+    shape = np.shape(y)
+    y = np.asarray(y, dtype=float).ravel()
+    if integrated:
+        first = np.minimum(y, a)
+        second = a - first
+    else:
+        first = np.heaviside(y, 0.0)
+        second = np.heaviside(-y, 1.0)
+    lg = math.lgamma(a)
+    lo = ((y > 0.0) & (y < a + 1.0)).nonzero()[0]
+    if lo.size:
+        v = y[lo]
+        d = _gamma_prefactor(a, lg, v)
+        z = v / (a + 1.0)
+        c = _series_terms(a)
+        n = np.count_nonzero(c * z.max() ** np.arange(c.size) >= _SERIES_TOL)
+        s = np.full(v.shape, c[n - 1])
+        for k in range(n - 2, -1, -1):
+            s *= z
+            s += c[k]
+        s *= z
+        s *= d  # a P(a+1, y)
+        d += s
+        d /= a  # P(a, y)
+        if integrated:
+            np.subtract(1.0, d, out=d)
+            d *= v
+            d += s  # I
+            first[lo] = d
+            second[lo] = a - d
+        else:
+            first[lo] = d
+            second[lo] = 1.0 - d
+    hi = ((y >= a + 1.0) & (y < _underflow_edge(a))).nonzero()[0]
+    if not hi.size:
+        return first.reshape(shape), second.reshape(shape)
+    v = y[hi]
+    d = _gamma_prefactor(a, lg, v)
+    # floor(log2(y / (a+1))) + 1 from 1 up: the quotient rounds to 1 or more
+    band = np.frexp(v / (a + 1.0))[1]
+    band -= 1
+    band >>= 1
+    low = int(band.min())
+    depths = [_fraction_depth(a, j) for j in range(low, int(band.max()) + 1)]
+    # bands of one depth run together: an integer shape's fraction ends at
+    # depth a, so its bands share few depths
+    need = np.take(depths, band - low) if len(set(depths)) > 1 else None
+    for n in sorted(set(depths), reverse=True):
+        if need is None:
+            w, q, at = v, d, hi
+        else:
+            sel = (need == n).nonzero()[0]
+            if not sel.size:
+                continue
+            w, q, at = v[sel], d[sel], hi[sel]
+        w = w + (1.0 - a)
+        t = np.zeros(w.shape)
+        b = np.empty(w.shape)
+        for k in range(n, 0, -1):
+            np.add(w, 2.0 * k, out=b)
+            np.subtract(b, t, out=t)
+            np.divide(k * (k - a), t, out=t)
+        w -= t
+        np.divide(q, w, out=q)  # Q(a, y)
+        if integrated:
+            np.subtract(1.0, t, out=t)
+            t *= q  # U
+            first[at] = a - t
+            second[at] = t
+        else:
+            first[at] = 1.0 - q
+            second[at] = q
+    return first.reshape(shape), second.reshape(shape)
+
+
+def _gamma_prefactor(a, lg, y):
+    # y^a e^-y / Gamma(a) = exp(s) (1 + e), where s + e = w - y exactly
+    w = np.log(y)
+    w *= a
+    w -= lg
+    s = w - y
+    back = s - w
+    e = s - back
+    np.subtract(w, e, out=e)
+    back += y
+    e -= back
+    d = np.exp(s, out=s)
+    e *= d
+    d += e
+    return d
+
+
+@cache
+def _series_terms(a):
+    # prod_{k=1..n} (a+1) / (a+1+k) for n = 0, 1, ... down to _SERIES_TOL:
+    # the series terms at z = 1, the most that a point below a + 1 needs
+    c = [1.0]
+    while c[-1] >= _SERIES_TOL:
+        c.append(c[-1] * (a + 1.0) / (a + 1.0 + len(c)))
+    return np.array(c)
+
+
+@cache
+def _fraction_depth(a, band):
+    """Depth of the continued fraction for Q(a, y) on y >= (a+1) 4^band:
+    the steps of a modified Lentz run (Thompson & Barnett 1986) at that
+    edge until a step moves the fraction by less than _LENTZ_TOL."""
+    b = (a + 1.0) * 4.0**band + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = 1.0 / b
+    n = 0
+    while True:
+        n += 1
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
+        c = b + an / c
+        c = c if abs(c) >= _LENTZ_TINY else _LENTZ_TINY
+        if abs(d * c - 1.0) < _LENTZ_TOL:
+            return n
+
+
+@cache
+def _underflow_edge(a):
+    # the y past a + 1 from which y^a e^-y / Gamma(a) is below e^_EXP_FLOOR,
+    # under the smallest subnormal: a log y - y falls for y > a
+    lg = math.lgamma(a)
+
+    def above_floor(y):
+        return _EXP_FLOOR - (a * math.log(y) - y - lg)
+
+    hi = 2.0 * (a + 1.0)
+    while above_floor(hi) < 0.0:
+        hi *= 2.0
+    return _bisect(above_floor, a + 1.0, hi, 0.0)[1]
 
 
 # ---------------------------------------------------------------------------

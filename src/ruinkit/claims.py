@@ -22,10 +22,9 @@ complex arguments; on the real axis the MGF is guarded at its divergence
 point, while complex off-axis evaluation follows the analytic continuation
 needed by the inversion contour.
 
-Only the gamma family needs scipy: its four tail methods call the
-regularized incomplete gamma functions of scipy.special, imported on first
-use. Importing this module, or running an exponential or mixture model,
-loads numpy alone.
+The gamma family's four tail methods read one numpy kernel of the
+regularized incomplete gamma functions, _kernels._incomplete_gamma, which
+forms each of them as a sum of positive terms; the package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from ._kernels import _decay_scan, _gamma_claim
+from ._kernels import _decay_scan, _gamma_claim, _incomplete_gamma
 
 __all__ = [
     "ClaimDistribution",
@@ -338,40 +337,24 @@ class Gamma(ClaimDistribution):
     def mgf_sup(self) -> float:
         return self.rate
 
-    def cdf(self, x):
-        from scipy import special
+    def _incomplete(self, x, integrated=False):
+        pair = _incomplete_gamma(self.shape, self.rate * np.asarray(x, dtype=float), integrated)
+        return [v[()] for v in pair]  # a 0-d result as a scalar
 
-        return special.gammainc(self.shape, self.rate * np.asarray(x))
+    def cdf(self, x):
+        return self._incomplete(x)[0]
 
     def tail(self, x):
-        from scipy import special
-
-        return special.gammaincc(self.shape, self.rate * np.asarray(x))
+        return self._incomplete(x)[1]
 
     def integrated_tail(self, x):
-        from scipy import special
-
-        # x Q(a, bx) plus int_0^x t f(t) dt = (a/b) P(a+1, bx)
-        x_arr = np.asarray(x)
-        bx = self.rate * x_arr
-        return x_arr * special.gammaincc(self.shape, bx) + self.mean * special.gammainc(self.shape + 1.0, bx)
+        # x Q(a, bx) + (a/b) P(a+1, bx)
+        return self._incomplete(x, integrated=True)[0] / self.rate
 
     def upper_integrated_tail(self, x):
-        from scipy import special
-
-        # int_x^inf t f(t) dt = (a/b) Q(a+1, bx), less x Q(a, bx). The two
-        # terms agree to a factor 1 + O(1/(bx)), so the difference loses a
-        # factor bx on the ~eps * bx error scipy's Q already carries in the
-        # tail: against 40-digit mpmath it is within 1.5e-13 * bx relative
-        # for shapes 0.2 to 50 and bx up to 740, and the ladder tail within
-        # 1.1e-13 * max(1, bx), i.e. 7e-11 at 1e-300
-        x_arr = np.asarray(x)
-        bx = self.rate * x_arr
-        q = special.gammaincc(self.shape, bx)
-        upper = self.mean * special.gammaincc(self.shape + 1.0, bx) - x_arr * q
-        # once Q(a, bx) leaves the normal float range it has lost its digits
-        # and the difference is noise; the value dropped there is subnormal
-        return np.where(q < np.finfo(float).tiny, 0.0, upper)
+        # (a/b) Q(a+1, bx) - x Q(a, bx), formed as Q(a, bx) (1 - t) / b with
+        # t the continued fraction's tail: no difference is taken
+        return self._incomplete(x, integrated=True)[1] / self.rate
 
 
 @dataclass(frozen=True)

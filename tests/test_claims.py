@@ -1,7 +1,9 @@
 """Claim distribution families: moments, transforms, ladder-height cdfs."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,39 @@ class TestGamma:
             for x in (0.01, 1.0, 7.0):
                 num, _ = quad(d.tail, 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=200)
                 assert d.integrated_tail(x) == pytest.approx(num, rel=1e-12)
+
+    def test_tail_and_cdf_below_zero(self):
+        d = Gamma(2.5, 2.0)
+        assert d.tail(-1.0) == 1.0 and d.cdf(-1.0) == 0.0
+        np.testing.assert_array_equal(d.tail(np.array([-1.0, -0.0])), 1.0)
+        np.testing.assert_array_equal(d.cdf(np.array([-1.0, -0.0])), 0.0)
+
+    def test_integrated_tails_at_infinity(self):
+        d = Gamma(2.5, 2.0)
+        assert d.integrated_tail(math.inf) == d.mean
+        assert d.upper_integrated_tail(math.inf) == 0.0
+        assert d.tail(math.inf) == 0.0 and d.cdf(math.inf) == 1.0
+
+    def test_integrated_tails_below_zero(self):
+        # the tail is 1 there: int_0^x 1 dt = x and E[(X - x)+] = mean - x
+        d = Gamma(2.5, 2.0)
+        assert d.integrated_tail(-1.0) == -1.0
+        assert d.upper_integrated_tail(-1.0) == d.mean + 1.0
+
+    def test_nan_gives_nan(self):
+        d = Gamma(2.5, 2.0)
+        for method in (d.cdf, d.tail, d.integrated_tail, d.upper_integrated_tail):
+            assert math.isnan(method(math.nan))
+            out = method(np.array([math.nan, 1.0]))
+            assert math.isnan(out[0]) and out[1] > 0.0
+
+    def test_scalar_in_scalar_out(self):
+        d = Gamma(2.5, 2.0)
+        x = np.array([[0.5, 1.0], [3.0, 9.0]])
+        for method in (d.cdf, d.tail, d.integrated_tail, d.upper_integrated_tail):
+            assert np.ndim(method(1.0)) == 0 and isinstance(method(1.0), float)
+            assert method(x).shape == x.shape
+            assert method(x)[1, 0] == method(3.0)
 
     def test_noninteger_shape_uses_quadrature(self):
         d = Gamma(2.5, 2.0)
@@ -371,10 +406,7 @@ class TestLadderGenericPath:
         for _, tau, x in keys:
             want = ref.LADDER_TAIL_ORACLE[name, tau, x]
             got = d._ladder(np.array([x]), tau)[0][0]
-            # the gamma upper integrated tail cancels a factor rate * x
-            # (claims.py); the exponential forms do not cancel
-            rtol = 1.5e-13 * max(1.0, d.rate * x) if isinstance(d, Gamma) else 1e-13
-            assert got == pytest.approx(want, rel=rtol, abs=0.0), f"{name} tau={tau} x={x}"
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), f"{name} tau={tau} x={x}"
             assert 1.0 - d.h3_cdf(x, tau) == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_far_points_stay_finite_and_cheap(self):
@@ -493,29 +525,49 @@ GAMMA_BOUNDS = ["bounds", "--model", "lambda=1,theta=0.1,sigma=1,claims=gamma:sh
                 "--lattice", "0.05", "--u", "0,1,5,20"]
 
 
-class TestScipyLoadedByGammaOnly:
-    def test_exponential_and_mixture_jobs_leave_scipy_unloaded(self):
-        # only the gamma law's incomplete gamma functions need scipy
-        code = (
-            "import contextlib, io, sys, ruinkit.cli\n"
-            "jobs = [['exact', '--model', 'lambda=1,theta=0.01,sigma=1,claims=exp:rate=1', '--u', '0,1,10'],\n"
-            "        ['bounds', '--model', 'lambda=1,theta=0.1,sigma=1,"
-            "claims=mexp:w=0.6,0.4;b=2,0.5', '--lattice', '0.05', '--u', '1,5']]\n"
-            "for argv in jobs:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert ruinkit.cli.main(argv) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        assert run_fresh(code).strip() == "[]"
+ALL_COMMANDS_CODE = (
+    "import contextlib, io, sys, ruinkit.cli\n"
+    "models = ['lambda=1,theta=0.1,sigma=1,claims=' + c for c in\n"
+    "          ('gamma:shape=2.5,rate=2', 'gamma:shape=0.5,rate=0.5', 'exp:rate=1', 'mexp:w=0.6,0.4;b=2,0.5')]\n"
+    "for m in models:\n"
+    "    for argv in (['table', '--methods', 'exact,dg,4me,ren2,pkdv3,2pp,lundberg', '--lattice', '0.1',\n"
+    "                  '--u', '0,1,5'],\n"
+    "                 ['errors', '--methods', 'dg,4me,ren2,pkdv3,2pp,lundberg', '--lattice', '0.1', '--u', '0,1,5'],\n"
+    "                 ['exact', '--u', '0,1,10'], ['approx', '--method', 'pkdv3', '--u', '0,1,5'],\n"
+    "                 ['bounds', '--lattice', '0.05', '--u', '1,5'], ['coef'],\n"
+    "                 ['decompose', '--umax', '1'], ['simulate', '--u', '1', '--paths', '2000', '--seed', '1']):\n"
+    "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "            assert ruinkit.cli.main([argv[0], '--model', m, *argv[1:]]) == 0, (m, argv)\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+class TestNoScipy:
+    """The gamma law's incomplete gamma functions are _kernels._incomplete_gamma:
+    nothing in the package loads or imports scipy."""
+
+    def test_no_command_loads_scipy(self):
+        assert run_fresh(ALL_COMMANDS_CODE).strip() == "[]"
+
+    def test_no_module_imports_scipy(self):
+        src = Path(ruinkit.__file__).resolve().parent
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(n.split(".")[0] != "scipy" for n in names), f"{path.name}:{node.lineno}"
 
     def test_gamma_job_in_fresh_interpreter_matches_in_process(self, capsys):
-        # the first tail evaluation loads scipy.special; the numbers are the
-        # ones an interpreter that already holds it prints
+        # a fresh interpreter never loads scipy.special, and prints the
+        # bytes of this one, which holds scipy from the tests' own imports
         code = (
             "import sys, ruinkit.cli\n"
-            "assert 'scipy.special' not in sys.modules\n"
             f"assert ruinkit.cli.main({GAMMA_BOUNDS!r}) == 0\n"
-            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.special' not in sys.modules\n"
         )
         fresh = run_fresh(code)
         assert main(GAMMA_BOUNDS) == 0

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ruinkit import Exponential, Gamma, MixedExponential, PerturbedModel, _kernels
-from ruinkit._kernels import _bisect, _decay_scan
+from ruinkit._kernels import _bisect, _decay_scan, _incomplete_gamma
 from ruinkit.bounds import discretize_ladder, lattice_convolve, panjer_compound
 from ruinkit.exact import volterra_march
 
+from _reference_gamma import GAMMA_ORACLE
 from _reference_kernels import _decay_scan_py, _lattice_convolve_py, _panjer_compound_py, _volterra_march_py
 from conftest import MIX_RATES, MIX_WEIGHTS
 
@@ -287,6 +288,68 @@ def test_decay_scan_matches_reference_loop(case):
 
 def test_decay_scan_of_nothing_is_empty():
     assert _decay_scan(np.zeros(0), np.zeros(0), 1.0).shape == (0,)
+
+
+GAMMA_SHAPES = sorted({a for a, _ in GAMMA_ORACLE})
+
+
+def _assert_gamma_oracle(a, y, got):
+    # within 1e-13 relative wherever the value is at least 1e-300, and within
+    # 1e-14 + 2.2e-16 a |log y|, as the prefactor's exp carries the rounding
+    # of a log y alone; below 1e-300, within 1e-300
+    want = np.array([GAMMA_ORACLE[a, yi] for yi in y]).T
+    rtol = np.minimum(1e-13, 1e-14 + 2.2e-16 * a * np.abs(np.log(y)))
+    for name, values, w in zip("PQIU", got, want):
+        err = np.abs(values - w)
+        bad = np.where(w >= 1e-300, err > rtol * w, err > 1e-300)
+        assert not bad.any(), f"{name} a={a} y={y[bad]}: {values[bad]} against {w[bad]}"
+
+
+@pytest.mark.parametrize("a", GAMMA_SHAPES)
+def test_incomplete_gamma_matches_mpmath_oracle(a):
+    # one call over every point, series and all bands of the fraction, and
+    # each point on its own
+    y = np.array([yi for ai, yi in GAMMA_ORACLE if ai == a])
+    _assert_gamma_oracle(a, y, _incomplete_gamma(a, y) + _incomplete_gamma(a, y, integrated=True))
+    alone = [np.concatenate([_incomplete_gamma(a, yi[None], integrated)[k] for yi in y])
+             for integrated in (False, True) for k in (0, 1)]
+    _assert_gamma_oracle(a, y, alone)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 2.5])
+def test_incomplete_gamma_is_pointwise_in_any_order(a):
+    # bands of one depth run together and the series runs to the depth of
+    # the largest point below a + 1, whatever the order of the points
+    y = np.concatenate([np.geomspace(1e-3, 4000.0, 3000), [0.0, -1.0, np.inf, np.nan]])
+    order = np.random.default_rng(3).permutation(y.size)
+    for integrated in (False, True):
+        for got, shuffled in zip(_incomplete_gamma(a, y, integrated), _incomplete_gamma(a, y[order], integrated)):
+            np.testing.assert_array_equal(got[order], shuffled)
+
+
+def test_incomplete_gamma_outside_the_support_keeps_the_shape():
+    y = np.array([[-np.inf, -1.0, -0.0], [0.0, np.inf, np.nan]])
+    p, q = _incomplete_gamma(2.5, y)
+    i, u = _incomplete_gamma(2.5, y, integrated=True)
+    assert p.shape == q.shape == i.shape == u.shape == y.shape
+    np.testing.assert_array_equal(p, [[0.0, 0.0, 0.0], [0.0, 1.0, np.nan]])
+    np.testing.assert_array_equal(q, [[1.0, 1.0, 1.0], [1.0, 0.0, np.nan]])
+    np.testing.assert_array_equal(i, [[-np.inf, -1.0, 0.0], [0.0, 2.5, np.nan]])
+    np.testing.assert_array_equal(u, [[np.inf, 3.5, 2.5], [2.5, 0.0, np.nan]])
+
+
+def test_underflowed_points_skip_the_fraction(monkeypatch):
+    # past the underflow edge of y^a e^-y / Gamma(a) no band depth is looked up
+    depths = []
+    depth = _kernels._fraction_depth
+    monkeypatch.setattr(_kernels, "_fraction_depth", lambda a, band: depths.append(band) or depth(a, band))
+    edge = _kernels._underflow_edge(2.5)
+    p, q = _incomplete_gamma(2.5, np.array([edge, 1e6, 1e300]))
+    np.testing.assert_array_equal(q, 0.0)
+    np.testing.assert_array_equal(p, 1.0)
+    assert depths == []
+    _incomplete_gamma(2.5, np.array([np.nextafter(edge, 0.0)]))
+    assert depths == [int(np.log2(edge / 3.5)) // 2]
 
 
 def test_volterra_rejects_nonzero_kernel_origin():
