@@ -29,9 +29,6 @@ from .montecarlo import SimConfig, simulate_ruin
 
 __all__ = ["main", "parse_model", "parse_claims"]
 
-_TABLE_METHODS = ("exact", "dg", "4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
-# the one-column methods: dg prints a pair of bounds, and exact is its own command
-_APPROX_METHODS = ("4me", "ren2", "pkdv3", "pkdv4", "pkdv5", "2pp", "lundberg")
 # flag defaults, filled once the config file has had its turn: a flag with an
 # argparse default would look set, and the file could never fill it
 _DEFAULTS = {"precision": 6, "inversion": "talbot", "convention": "strict", "step": 0.01}
@@ -120,8 +117,6 @@ def parse_model(text: str) -> PerturbedModel:
         return PerturbedModel(
             claims=claims, lam=lam, sigma=sigma, loading=loading, premium_rate=rate
         )
-    except UsageError:
-        raise
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad model spec {text!r}: {exc}") from exc
 
@@ -153,35 +148,60 @@ def _note_mixture_rate(model, R: float) -> None:
         )
 
 
+def _lundberg_fit(model, u):
+    R = adjustment_coefficient(model).R
+    _note_mixture_rate(model, R)
+    return lundberg_bound(model, u, R=R)
+
+
+# the closed-form fits, one column each, in the order the help lists them.
+# Each looks its library function up by name when it runs, so a caller that
+# rebinds that name (the benchmark's trace does) sees every call
+_FITS = {
+    "4me": lambda model, u: approx_mod.de_vylder_ruin(model, u),
+    "ren2": lambda model, u: approx_mod.renyi_approx(model, u),
+    "pkdv3": lambda model, u: approx_mod.pkdv_approx(model, 3, u),
+    "pkdv4": lambda model, u: approx_mod.pkdv_approx(model, 4, u),
+    "pkdv5": lambda model, u: approx_mod.pkdv_approx(model, 5, u),
+    "2pp": lambda model, u: approx_mod.two_point_pade(model, u),
+    "lundberg": _lundberg_fit,
+}
+
+
+def _method_names(command: str) -> tuple[str, ...]:
+    # approx prints one column: dg is a pair of bounds, and exact a command of its own
+    return tuple(_FITS) if command == "approx" else ("exact", "dg", *_FITS)
+
+
+def _methods(args) -> list[str]:
+    """The methods a table, errors or approx call names, each known and
+    named once, and dg only with --lattice: checked before any method runs."""
+    choices = _method_names(args.command)
+    # approx takes one name, so a comma list there is one unknown name
+    names = [args.method] if args.command == "approx" else args.methods.split(",")
+    methods: list[str] = []
+    for m in (name.strip() for name in names):
+        if m not in choices:
+            raise UsageError(f"unknown method {m!r} (choose from {', '.join(choices)})")
+        if m in methods:
+            raise UsageError(f"repeated method {m!r}")
+        methods.append(m)
+    if "dg" in methods and args.lattice is None:
+        raise UsageError("method dg requires --lattice")
+    return methods
+
+
 def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str, object]]:
-    """(name, value-array-or-None) per output column; None means NA."""
+    """(name, value-array-or-None) per output column; None means NA. dg is
+    two columns, or one NA column under its own name."""
     columns: list[tuple[str, object]] = []
     for m in methods:
         try:
-            if m == "exact":
-                columns.append(("exact", exact_ruin(model, u)))
-            elif m == "dg":
-                if lattice is None:
-                    raise UsageError("method dg requires --lattice")
+            if m == "dg":
                 pair = panjer_bounds(model, lattice, u, convention="published")
-                columns.append(("dg_lower", pair.lower.values))
-                columns.append(("dg_upper", pair.upper.values))
-            elif m == "4me":
-                columns.append(("4me", approx_mod.de_vylder_ruin(model, u)))
-            elif m == "ren2":
-                columns.append(("ren2", approx_mod.renyi_approx(model, u)))
-            elif m in ("pkdv3", "pkdv4", "pkdv5"):
-                columns.append((m, approx_mod.pkdv_approx(model, int(m[-1]), u)))
-            elif m == "2pp":
-                columns.append(("2pp", approx_mod.two_point_pade(model, u)))
-            elif m == "lundberg":
-                res = adjustment_coefficient(model)
-                _note_mixture_rate(model, res.R)
-                columns.append(("lundberg", lundberg_bound(model, u, R=res.R)))
+                columns += [("dg_lower", pair.lower.values), ("dg_upper", pair.upper.values)]
             else:
-                raise UsageError(f"unknown method {m!r} (choose from {', '.join(_TABLE_METHODS)})")
-        except UsageError:
-            raise
+                columns.append((m, exact_ruin(model, u) if m == "exact" else _FITS[m](model, u)))
         except (approx_mod.FitInfeasibleError, NoRootError, InversionError, ValueError) as exc:
             warnings.append(f"method {m} infeasible: {exc}")
             columns.append((m, None))
@@ -294,19 +314,22 @@ def _fmt(value, places: int) -> str:
 
 
 def _cmd_table(args, model, warnings):
+    methods = _methods(args)
     u = _parse_grid(args.u)
-    methods = [m.strip() for m in args.methods.split(",")]
     columns = _eval_columns(model, methods, u, args.lattice, warnings)
     _emit_grid(args, ["u"] + [name for name, _ in columns], u, [col for _, col in columns])
 
 
 def _cmd_errors(args, model, warnings):
+    methods = [m for m in _methods(args) if m != "exact"]
+    if not methods:
+        raise UsageError("errors requires a method other than exact")
     u = _parse_grid(args.u)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip() != "exact"]
     exact_col = exact_ruin(model, u)
     columns = _eval_columns(model, methods, u, args.lattice, warnings)
     header = ["u"] + [f"eps_{name}" for name, _ in columns]
-    _emit_grid(args, header, u, [None if col is None else np.abs(1.0 - col / exact_col) for _, col in columns])
+    eps = [None if col is None else approx_mod.relative_error(col, exact_col) for _, col in columns]
+    _emit_grid(args, header, u, eps)
 
 
 def _cmd_exact(args, model, warnings):
@@ -315,17 +338,14 @@ def _cmd_exact(args, model, warnings):
 
 
 def _cmd_approx(args, model, warnings):
-    if args.method not in _APPROX_METHODS:
-        raise UsageError(f"unknown method {args.method!r} (choose from {', '.join(_APPROX_METHODS)})")
+    methods = _methods(args)
     u = _parse_grid(args.u)
-    columns = _eval_columns(model, [args.method], u, None, warnings)
+    columns = _eval_columns(model, methods, u, None, warnings)
     _emit_grid(args, ["u", "value"], u, [columns[0][1]])
 
 
 def _cmd_bounds(args, model, warnings):
     u = _parse_grid(args.u)
-    if args.lattice is None:
-        raise UsageError("bounds requires --lattice")
     pair = panjer_bounds(model, args.lattice, u, convention=args.convention)
     lo, hi = pair.lower.values, pair.upper.values
     _emit_grid(args, ["u", "lower", "upper", "width"], u, [lo, hi, hi - lo])
@@ -353,8 +373,6 @@ def _cmd_decompose(args, model, warnings):
 
 
 def _cmd_simulate(args, model, warnings):
-    if args.paths is None or args.seed is None:
-        raise UsageError("simulate requires --paths and --seed")
     try:
         config = SimConfig(model=model, u=args.u, n_paths=args.paths, seed=args.seed, horizon=args.horizon)
     except ValueError as exc:
@@ -390,12 +408,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("table", parents=[common])
-    sp.add_argument("--methods", help="comma list from: " + ",".join(_TABLE_METHODS))
+    sp.add_argument("--methods", help="comma list from: " + ",".join(_method_names("table")))
     sp.add_argument("--u", help="strictly increasing comma list")
     sp.add_argument("--lattice", type=float, help="lattice width for dg bounds")
 
     sp = sub.add_parser("errors", parents=[common])
-    sp.add_argument("--methods")
+    sp.add_argument("--methods", help="comma list from: " + ",".join(_method_names("errors")))
     sp.add_argument("--u")
     sp.add_argument("--lattice", type=float)
 
@@ -405,7 +423,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--degree", type=int)
 
     sp = sub.add_parser("approx", parents=[common])
-    sp.add_argument("--method", help="one of " + ",".join(_APPROX_METHODS))
+    sp.add_argument("--method", help="one of " + ",".join(_method_names("approx")))
     sp.add_argument("--u")
 
     sp = sub.add_parser("bounds", parents=[common])
@@ -556,9 +574,9 @@ def _require(args) -> None:
         "errors": ("methods", "u"),
         "exact": ("u",),
         "approx": ("method", "u"),
-        "bounds": ("u",),
+        "bounds": ("u", "lattice"),
         "decompose": ("umax",),
-        "simulate": ("u",),
+        "simulate": ("u", "paths", "seed"),
     }
     for field in need.get(args.command, ()):
         if getattr(args, field, None) is None:

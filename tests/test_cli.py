@@ -28,6 +28,10 @@ HEAVY_MODEL = "lambda=1,theta=1,sigma=1,claims=exp:rate=1"
 CLASSICAL_MODEL = "lambda=1,theta=0.1,sigma=0,claims=exp:rate=1"
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the methods every `unknown method` message lists: table and errors take
+# them all, approx the one-column fits
+FITS = "4me, ren2, pkdv3, pkdv4, pkdv5, 2pp, lundberg"
+UNKNOWN_BOGUS = "unknown method 'bogus' (choose from exact, dg, " + FITS + ")"
 
 
 def run_cli(argv, capsys):
@@ -198,7 +202,7 @@ def test_approx_takes_only_one_column_methods(method, capsys):
     argv = ["approx", "--model", EXP_MODEL, "--method", method, "--u", "1,2"]
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out) == (1, "")
-    assert err == f"error: unknown method {method!r} (choose from {', '.join(cli._APPROX_METHODS)})\n"
+    assert err == f"error: unknown method {method!r} (choose from {FITS})\n"
 
 
 def test_approx_has_no_lattice_flag(tmp_path, capsys):
@@ -555,18 +559,107 @@ def test_config_u_alias_for_simulate(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ["table", "--model", EXP_MODEL, "--methods", "bogus", "--u", "1"],
-            "unknown method 'bogus' (choose from exact, dg, 4me, ren2, pkdv3, pkdv4, pkdv5, 2pp, lundberg)",
-        ),
+        (["table", "--model", EXP_MODEL, "--methods", "bogus", "--u", "1"], UNKNOWN_BOGUS),
         (["bounds", "--model", EXP_MODEL, "--u", "1"], "bounds requires --lattice"),
         (["exact", "--u", "1"], "exact requires --model (flag or config file)"),
+        (["table", "--model", EXP_MODEL, "--methods", "4me, ren2,4me", "--u", "1"], "repeated method '4me'"),
+        (["errors", "--model", EXP_MODEL, "--methods", "exact", "--u", "1"], "errors requires a method other than exact"),
+        (
+            ["approx", "--model", EXP_MODEL, "--method", "4me,ren2", "--u", "1"],
+            f"unknown method '4me,ren2' (choose from {FITS})",
+        ),
+        (["simulate", "--model", EXP_MODEL, "--u", "1", "--paths", "100"], "simulate requires --seed"),
+        (["simulate", "--model", EXP_MODEL, "--u", "1", "--seed", "1"], "simulate requires --paths"),
     ],
-    ids=["table-unknown-method", "bounds-no-lattice", "exact-no-model"],
+    ids=[
+        "table-unknown-method",
+        "bounds-no-lattice",
+        "exact-no-model",
+        "repeated-method",
+        "errors-exact-only",
+        "approx-comma-list",
+        "simulate-no-seed",
+        "simulate-no-paths",
+    ],
 )
 def test_usage_error_messages(argv, message, capsys):
     rc, out, err = run_cli(argv, capsys)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """Names of the library routes the CLI calls, each spied where the CLI
+    looks it up."""
+    calls = []
+    for owner, name in [
+        (cli, "exact_ruin"),
+        (cli, "panjer_bounds"),
+        (cli, "adjustment_coefficient"),
+        (cli.approx_mod, "de_vylder_ruin"),
+        (cli.approx_mod, "renyi_approx"),
+        (cli.approx_mod, "pkdv_approx"),
+        (cli.approx_mod, "two_point_pade"),
+    ]:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["errors", "--model", EXP_MODEL, "--methods", "bogus", "--u", "1,2"], UNKNOWN_BOGUS),
+        (["table", "--model", EXP_MODEL, "--methods", "exact,bogus", "--u", "1,2"], UNKNOWN_BOGUS),
+        (["table", "--model", EXP_MODEL, "--methods", "exact,dg", "--u", "1,2"], "method dg requires --lattice"),
+        (["table", "--model", MIX_MODEL, "--methods", "lundberg,bogus", "--u", "1,2"], UNKNOWN_BOGUS),
+        (["table", "--model", MIX_MODEL, "--methods", "lundberg,lundberg", "--u", "1,2"], "repeated method 'lundberg'"),
+        (["errors", "--model", EXP_MODEL, "--methods", "exact,4me", "--u", "2,1"], "u grid must be strictly increasing"),
+    ],
+    ids=[
+        "errors-unknown",
+        "table-exact-then-unknown",
+        "dg-no-lattice",
+        "mixture-note",
+        "repeated-lundberg",
+        "errors-bad-grid",
+    ],
+)
+def test_usage_errors_come_before_any_method_runs(route_calls, argv, message, capsys):
+    # no inversion, lattice or fit runs, and no note is written ahead of the error
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out, err, route_calls) == (1, "", f"error: {message}\n", [])
+
+
+def test_every_method_runs_through_its_route(route_calls, capsys):
+    # the spies see every route, so the empty lists above mean that none ran
+    methods = ",".join(cli._method_names("table"))
+    argv = ["table", "--model", EXP_MODEL, "--methods", methods, "--lattice", "0.1", "--u", "1"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert route_calls == [
+        "exact_ruin",
+        "panjer_bounds",
+        "de_vylder_ruin",
+        "renyi_approx",
+        "pkdv_approx",
+        "pkdv_approx",
+        "pkdv_approx",
+        "two_point_pade",
+        "adjustment_coefficient",
+    ]
+
+
+def test_approx_method_is_stripped(capsys):
+    argv = ["approx", "--model", EXP_MODEL, "--u", "1,2", "--method"]
+    stripped = run_cli([*argv, " 4me "], capsys)
+    assert stripped == run_cli([*argv, "4me"], capsys) and stripped[0] == 0
+
+
+def test_errors_against_an_exact_zero_is_a_numerical_failure(monkeypatch, capsys):
+    # |1 - a/e| has no value at e = 0: exit 2, not a numpy divide warning
+    monkeypatch.setattr(cli, "exact_ruin", lambda model, u: np.zeros_like(u))
+    rc, out, err = run_cli(["errors", "--model", EXP_MODEL, "--methods", "4me", "--u", "1,2"], capsys)
+    assert (rc, out, err) == (2, "", "numerical failure: relative error is undefined against an exact value of 0\n")
 
 
 def test_config_line_without_equals_exits_1(tmp_path, capsys):
