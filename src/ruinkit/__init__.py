@@ -27,7 +27,7 @@ from .coefficients import (
     lundberg_bound,
     renyi_coefficient,
 )
-from .exact import DecompositionCurves, RuinCurve, decompose_ruin, exact_ruin
+from .exact import DecompositionCurves, decompose_ruin, exact_ruin
 from .model import CentralMoments, PerturbedModel
 from .montecarlo import SimConfig, SimEstimate, simulate_ruin
 
@@ -48,7 +48,6 @@ __all__ = [
     "MixedExponential",
     "NoRootError",
     "PerturbedModel",
-    "RuinCurve",
     "SimConfig",
     "SimEstimate",
     "TwoPointPadeParams",

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from ._kernels import _like
+
 __all__ = ["invert", "talbot", "euler", "InversionError"]
 
 
@@ -44,11 +46,6 @@ def _grid(t, degree, name: str):
     return tc, int(degree)
 
 
-def _shaped(values: np.ndarray, t):
-    """Values back in t's shape, or a float for scalar t."""
-    return float(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
-
-
 def talbot(transform, t, degree: int = 24):
     """Fixed-Talbot inversion at t > 0 (scalar or array) with M = degree nodes."""
     tc, m = _grid(t, degree, "talbot")
@@ -61,7 +58,7 @@ def talbot(transform, t, degree: int = 24):
     fs = np.asarray(transform(s))
     terms = np.real(np.exp(tc * s[:, 1:]) * fs[:, 1:] * (1.0 + 1j * sigma))
     f0 = 0.5 * np.exp(r * tc) * np.real(fs[:, :1])
-    return _shaped(((r / m) * (f0 + np.sum(terms, axis=1, keepdims=True)))[:, 0], t)
+    return _like(((r / m) * (f0 + np.sum(terms, axis=1, keepdims=True)))[:, 0], t)
 
 
 def euler(transform, t, degree: int = 18):
@@ -80,7 +77,7 @@ def euler(transform, t, degree: int = 18):
         xi[2 * m - j] = xi[2 * m - j + 1] + (2.0**-m) * math.comb(m, j)
     signs = np.where(k % 2 == 0, 1.0, -1.0)
     fs = np.real(np.asarray(transform(s)))
-    return _shaped((10.0 ** (m / 3.0) / tc[:, 0]) * np.sum(xi * signs * fs, axis=1), t)
+    return _like((10.0 ** (m / 3.0) / tc[:, 0]) * np.sum(xi * signs * fs, axis=1), t)
 
 
 # method -> (rule, default degree, degree step of the self-check)

@@ -116,6 +116,27 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
+# the one result rule of every route and pointwise claim method
+# ---------------------------------------------------------------------------
+
+
+def _points(u):
+    """u as a float array of its own shape; ValueError unless every u is
+    finite and nonnegative."""
+    arr = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+        raise ValueError("u must be finite and nonnegative")
+    return arr
+
+
+def _like(values, x):
+    """values in x's shape, or a Python float (complex for complex values)
+    when x is a scalar or 0-d."""
+    shaped = np.reshape(values, np.shape(x))
+    return shaped.item() if shaped.ndim == 0 else shaped
+
+
+# ---------------------------------------------------------------------------
 # truncated power-series division: Panjer and Volterra
 # ---------------------------------------------------------------------------
 

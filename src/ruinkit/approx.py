@@ -27,7 +27,7 @@ from math import inf, nextafter, prod, sqrt
 
 import numpy as np
 
-from ._kernels import _bisect
+from ._kernels import _bisect, _like, _points
 from .claims import Exponential, MixedExponential
 from .model import PerturbedModel
 
@@ -52,14 +52,10 @@ class FitInfeasibleError(RuntimeError):
 
 
 def _exponential_sum(amps, rates, u) -> float | np.ndarray:
-    """sum_k amps[k] * exp(-rates[k] * u): a float for scalar or 0-d u, an
-    array of u's shape otherwise. Raises ValueError unless every u is
-    finite and nonnegative."""
-    u_arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
-        raise ValueError("u must be finite and nonnegative")
-    vals = sum(a * np.exp(-r * u_arr) for a, r in zip(amps, rates))
-    return float(vals) if u_arr.ndim == 0 else vals
+    """sum_k amps[k] * exp(-rates[k] * u) in u's shape (_like). Raises
+    ValueError unless every u is finite and nonnegative."""
+    u_arr = _points(u)
+    return _like(sum(a * np.exp(-r * u_arr) for a, r in zip(amps, rates)), u)
 
 
 @dataclass(frozen=True)
@@ -264,4 +260,4 @@ def relative_error(approx_value, exact_value) -> float | np.ndarray:
     if np.any(e == 0.0):
         raise ValueError("relative error is undefined against an exact value of 0")
     vals = np.abs(1.0 - a / e)
-    return float(vals) if a.ndim == 0 and e.ndim == 0 else vals
+    return _like(vals, vals)  # the shape that a and e broadcast to

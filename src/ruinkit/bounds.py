@@ -48,8 +48,7 @@ from math import ceil, exp, expm1
 import numpy as np
 
 # lattice_convolve is no longer called here; perfbench/tracing.py rebinds it at this name
-from ._kernels import _decay_scan, lattice_convolve, panjer_compound  # noqa: F401
-from .exact import RuinCurve
+from ._kernels import _decay_scan, _like, _points, lattice_convolve, panjer_compound  # noqa: F401
 from .model import PerturbedModel
 
 __all__ = ["DiscretizedLadder", "BoundPair", "discretize_ladder", "panjer_bounds"]
@@ -66,8 +65,8 @@ class DiscretizedLadder:
 
 @dataclass(frozen=True)
 class BoundPair:
-    lower: RuinCurve
-    upper: RuinCurve
+    lower: np.ndarray | float  # in u's shape (_kernels._like)
+    upper: np.ndarray | float
     lattice_width: float
 
 
@@ -135,7 +134,8 @@ def panjer_bounds(
     u_grid,
     convention: str = "published",
 ) -> BoundPair:
-    """Lower/upper bound curves at the given u values.
+    """Lower/upper bounds at the given u values, each in u's shape (a float
+    for a scalar or 0-d u); u may come in any order.
 
     u values that are not lattice multiples are snapped down for the upper
     curve and up for the lower curve (both curves are nonincreasing, so the
@@ -149,9 +149,7 @@ def panjer_bounds(
     """
     if model.sigma == 0.0:
         raise ValueError("lattice bounds require a diffusion term (sigma > 0)")
-    u_arr = np.atleast_1d(np.asarray(u_grid, dtype=float))
-    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
-        raise ValueError("u values must be finite and nonnegative")
+    u_arr = _points(u_grid)
     if convention not in ("published", "strict"):
         raise ValueError(f"unknown convention {convention!r}")
     _check_width(lattice_width)
@@ -183,7 +181,7 @@ def panjer_bounds(
     low_vals = np.clip(low_vals, 0.0, 1.0)
     up_vals = np.clip(up_vals, 0.0, 1.0)
     return BoundPair(
-        lower=RuinCurve("dg_lower", u_arr, low_vals),
-        upper=RuinCurve("dg_upper", u_arr, up_vals),
+        lower=_like(low_vals, u_grid),
+        upper=_like(up_vals, u_grid),
         lattice_width=float(lattice_width),
     )

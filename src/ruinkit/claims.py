@@ -16,11 +16,13 @@ Exponential is the one-component MixedExponential, whose sums give the
 exponential closed forms bitwise (1.0 * x and 0 + x are exact); it keeps its
 own class for its one-uniform Monte Carlo sampler.
 
-All pointwise functions accept scalars or numpy arrays and return a matching
-shape. Transform functions (mgf, laplace, equilibrium_laplace) also accept
-complex arguments; on the real axis the MGF is guarded at its divergence
-point, while complex off-axis evaluation follows the analytic continuation
-needed by the inversion contour.
+All pointwise functions accept scalars or numpy arrays of any shape and
+return the values in the argument's shape: a Python float (complex at a
+complex point) for a scalar or 0-d argument (_kernels._like). Transform
+functions (mgf, laplace, equilibrium_laplace) also accept complex
+arguments; on the real axis the MGF is guarded at its divergence point,
+while complex off-axis evaluation follows the analytic continuation needed
+by the inversion contour.
 
 The gamma family's four tail methods read one numpy kernel of the
 regularized incomplete gamma functions, _kernels._incomplete_gamma, which
@@ -36,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from ._kernels import _decay_scan, _gamma_claim, _incomplete_gamma
+from ._kernels import _decay_scan, _gamma_claim, _incomplete_gamma, _like
 
 __all__ = [
     "ClaimDistribution",
@@ -70,12 +72,6 @@ _GRADING = np.exp2(-np.arange(50, -1, -1.0))
 _REACH = 750.0
 # panels evaluated at once, which bounds the memory of one ladder call
 _CHUNK_PANELS = 4096
-
-
-def _maybe_scalar(value: np.ndarray, scalar_input: bool):
-    if scalar_input:
-        return value.item() if isinstance(value, np.ndarray) else value
-    return value
 
 
 class ClaimDistribution(ABC):
@@ -125,17 +121,15 @@ class ClaimDistribution(ABC):
     def mgf(self, r):
         """E[e^{rX}]. Real arguments at or beyond mgf_sup are a hard error."""
         arr = np.asarray(r)
-        real_part = np.real(arr)
-        on_real_axis = np.imag(arr) == 0 if np.iscomplexobj(arr) else np.ones_like(arr, dtype=bool)
-        if np.any(on_real_axis & (real_part >= self.mgf_sup)):
+        if np.any((np.imag(arr) == 0) & (np.real(arr) >= self.mgf_sup)):
             raise ValueError(
-                f"mgf argument {r!r} not below divergence point {self.mgf_sup!r}"
+                f"mgf argument {r} not below divergence point {self.mgf_sup!r}"
             )
-        return self._mgf_unchecked(r)
+        return _like(self._mgf_unchecked(arr), r)
 
     def laplace(self, s):
         """Laplace transform of the claim density, mgf(-s)."""
-        return self.mgf(-s) if np.isscalar(s) else self.mgf(np.negative(s))
+        return self.mgf(np.negative(s))
 
     def equilibrium_laplace(self, s):
         """Laplace transform of the integrated-tail (equilibrium) density.
@@ -143,7 +137,6 @@ class ClaimDistribution(ABC):
         (1 - laplace(s)) / (s * mean), with the s -> 0 limit of 1 taken
         explicitly and a short series used near 0 to dodge cancellation.
         """
-        scalar_input = np.isscalar(s)
         arr = np.atleast_1d(np.asarray(s, dtype=complex if np.iscomplexobj(np.asarray(s)) else float))
         mu1 = self.raw_moment(1)
         mu2 = self.raw_moment(2)
@@ -159,8 +152,7 @@ class ClaimDistribution(ABC):
         if np.any(~small):
             z = arr[~small]
             out[~small] = (1.0 - self._mgf_unchecked(-z)) / (z * mu1)
-        result = out.reshape(np.shape(s)) if not scalar_input else out
-        return _maybe_scalar(result, scalar_input)
+        return _like(out, s)
 
     # -- distribution functions --------------------------------------------
 
@@ -193,7 +185,7 @@ class ClaimDistribution(ABC):
         H3 = (integrated_tail - J) / mean with J from _ladder_integral; 0 for
         x <= 0. The same path serves every family.
         """
-        return self._ladder(x, tau, cdf=True)[0]
+        return _like(self._ladder(x, tau, cdf=True)[0], x)
 
     def h3_density(self, x, tau: float):
         """Density of the combined ladder height, tau * J(x) / mean; 0 for x <= 0.
@@ -201,7 +193,7 @@ class ClaimDistribution(ABC):
         Every term of J is positive, so the density keeps its relative
         accuracy in the tail.
         """
-        return self._ladder(x, tau)[1]
+        return _like(self._ladder(x, tau)[1], x)
 
     def _ladder(self, x, tau: float, cdf: bool = False):
         """(ladder tail, ladder density) at x from one _ladder_integral pass.
@@ -209,9 +201,13 @@ class ClaimDistribution(ABC):
         The tail is 1 - H3 = (upper_integrated_tail + J) / mean, a sum of
         positive terms, and 1 for x <= 0; with cdf=True the first entry is
         H3 = (integrated_tail - J) / mean instead, which is relative near 0.
-        Both entries match the shape of x.
+        Both entries are arrays of x's shape.
         """
-        arr, scalar_input = _ladder_args(x, tau)
+        if not 0.0 < tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {tau!r}")
+        arr = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("x must be finite")
         flat = arr.ravel()
         part = np.full(flat.shape, 0.0 if cdf else 1.0)
         density = np.zeros(flat.shape)
@@ -220,10 +216,7 @@ class ClaimDistribution(ABC):
         j = self._ladder_integral(xs, tau)
         part[pos] = (self.integrated_tail(xs) - j if cdf else self.upper_integrated_tail(xs) + j) / self.mean
         density[pos] = tau * j / self.mean
-        return (
-            _maybe_scalar(part.reshape(arr.shape), scalar_input),
-            _maybe_scalar(density.reshape(arr.shape), scalar_input),
-        )
+        return part.reshape(arr.shape), density.reshape(arr.shape)
 
     def _ladder_integral(self, x: np.ndarray, tau: float) -> np.ndarray:
         """int_0^x e^{-tau(x-t)} tail(t) dt at each positive finite x.
@@ -291,15 +284,6 @@ def _check_parameter(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _ladder_args(x, tau: float):
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    return arr, np.isscalar(x)
-
-
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
@@ -328,7 +312,7 @@ class Gamma(ClaimDistribution):
 
     def _mgf_unchecked(self, r):
         base = 1.0 - np.asarray(r) / self.rate
-        return np.power(base, -self.shape) if not np.isscalar(r) else (1.0 - r / self.rate) ** -self.shape
+        return np.power(base, -self.shape)
 
     def _mgf_minus_one(self, r: float) -> float:
         return math.expm1(-self.shape * math.log1p(-r / self.rate))
@@ -338,23 +322,22 @@ class Gamma(ClaimDistribution):
         return self.rate
 
     def _incomplete(self, x, integrated=False):
-        pair = _incomplete_gamma(self.shape, self.rate * np.asarray(x, dtype=float), integrated)
-        return [v[()] for v in pair]  # a 0-d result as a scalar
+        return _incomplete_gamma(self.shape, self.rate * np.asarray(x, dtype=float), integrated)
 
     def cdf(self, x):
-        return self._incomplete(x)[0]
+        return _like(self._incomplete(x)[0], x)
 
     def tail(self, x):
-        return self._incomplete(x)[1]
+        return _like(self._incomplete(x)[1], x)
 
     def integrated_tail(self, x):
         # x Q(a, bx) + (a/b) P(a+1, bx)
-        return self._incomplete(x, integrated=True)[0] / self.rate
+        return _like(self._incomplete(x, integrated=True)[0] / self.rate, x)
 
     def upper_integrated_tail(self, x):
         # (a/b) Q(a+1, bx) - x Q(a, bx), formed as Q(a, bx) (1 - t) / b with
         # t the continued fraction's tail: no difference is taken
-        return self._incomplete(x, integrated=True)[1] / self.rate
+        return _like(self._incomplete(x, integrated=True)[1] / self.rate, x)
 
 
 @dataclass(frozen=True)
@@ -392,8 +375,7 @@ class MixedExponential(ClaimDistribution):
 
     def _mgf_unchecked(self, r):
         r_arr = np.asarray(r)
-        total = sum(w * (b / (b - r_arr)) for w, b in zip(self.weights, self.rates))
-        return total if not np.isscalar(r) else complex(total) if np.iscomplexobj(r_arr) else float(total)
+        return sum(w * (b / (b - r_arr)) for w, b in zip(self.weights, self.rates))
 
     def _mgf_minus_one(self, r: float) -> float:
         return sum(w * r / (b - r) for w, b in zip(self.weights, self.rates))
@@ -402,21 +384,26 @@ class MixedExponential(ClaimDistribution):
     def mgf_sup(self) -> float:
         return min(self.rates)
 
+    # each sum runs at max(x, 0), so below 0 the tail is 1 and the CDF 0; the
+    # integrated tails add back min(x, 0) there, as the gamma kernel does
+
     def cdf(self, x):
-        x_arr = np.asarray(x)
-        return sum(w * -np.expm1(-b * x_arr) for w, b in zip(self.weights, self.rates))
+        x0 = np.maximum(x, 0.0)
+        return _like(sum(w * -np.expm1(-b * x0) for w, b in zip(self.weights, self.rates)), x)
 
     def tail(self, x):
-        x_arr = np.asarray(x)
-        return sum(w * np.exp(-b * x_arr) for w, b in zip(self.weights, self.rates))
+        x0 = np.maximum(x, 0.0)
+        return _like(sum(w * np.exp(-b * x0) for w, b in zip(self.weights, self.rates)), x)
 
     def integrated_tail(self, x):
-        x_arr = np.asarray(x)
-        return sum(w * -np.expm1(-b * x_arr) / b for w, b in zip(self.weights, self.rates))
+        x0 = np.maximum(x, 0.0)
+        total = sum(w * -np.expm1(-b * x0) / b for w, b in zip(self.weights, self.rates))
+        return _like(total + np.minimum(x, 0.0), x)
 
     def upper_integrated_tail(self, x):
-        x_arr = np.asarray(x)
-        return sum(w * np.exp(-b * x_arr) / b for w, b in zip(self.weights, self.rates))
+        x0 = np.maximum(x, 0.0)
+        total = sum(w * np.exp(-b * x0) / b for w, b in zip(self.weights, self.rates))
+        return _like(total - np.minimum(x, 0.0), x)
 
 
 class Exponential(MixedExponential):

@@ -199,7 +199,7 @@ def _eval_columns(model, methods, u, lattice, warnings: list) -> list[tuple[str,
         try:
             if m == "dg":
                 pair = panjer_bounds(model, lattice, u, convention="published")
-                columns += [("dg_lower", pair.lower.values), ("dg_upper", pair.upper.values)]
+                columns += [("dg_lower", pair.lower), ("dg_upper", pair.upper)]
             else:
                 columns.append((m, exact_ruin(model, u) if m == "exact" else _FITS[m](model, u)))
         except (approx_mod.FitInfeasibleError, NoRootError, InversionError, ValueError) as exc:
@@ -347,7 +347,7 @@ def _cmd_approx(args, model, warnings):
 def _cmd_bounds(args, model, warnings):
     u = _parse_grid(args.u)
     pair = panjer_bounds(model, args.lattice, u, convention=args.convention)
-    lo, hi = pair.lower.values, pair.upper.values
+    lo, hi = pair.lower, pair.upper
     _emit_grid(args, ["u", "lower", "upper", "width"], u, [lo, hi, hi - lo])
 
 
@@ -368,8 +368,8 @@ def _cmd_coef(args, model, warnings):
 
 def _cmd_decompose(args, model, warnings):
     curves = decompose_ruin(model, args.umax, step=args.step)
-    v1, v2 = curves.psi1.values, curves.psi2.values
-    _emit_grid(args, ["u", "psi1", "psi2", "sum"], curves.psi1.u, [v1, v2, v1 + v2])
+    v1, v2 = curves.psi1, curves.psi2
+    _emit_grid(args, ["u", "psi1", "psi2", "sum"], curves.u, [v1, v2, v1 + v2])
 
 
 def _cmd_simulate(args, model, warnings):

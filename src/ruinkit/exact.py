@@ -23,39 +23,18 @@ from math import floor
 import numpy as np
 
 from . import _inversion
-from ._kernels import volterra_march
+from ._kernels import _like, _points, volterra_march
 from ._inversion import InversionError
 from .model import PerturbedModel
 
-__all__ = ["RuinCurve", "DecompositionCurves", "exact_ruin", "decompose_ruin", "InversionError"]
-
-
-@dataclass(frozen=True)
-class RuinCurve:
-    """A labeled (u, value) grid; u strictly increasing, values in [0, 1]."""
-
-    method: str
-    u: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("u and values must be 1-d arrays of equal length")
-        if u.size > 1 and not np.all(np.diff(u) > 0.0):
-            raise ValueError("u grid must be strictly increasing")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "values", v)
-
-    def __iter__(self):
-        return iter(zip(self.u.tolist(), self.values.tolist()))
+__all__ = ["DecompositionCurves", "exact_ruin", "decompose_ruin", "InversionError"]
 
 
 @dataclass(frozen=True)
 class DecompositionCurves:
-    psi1: RuinCurve  # ruin by oscillation
-    psi2: RuinCurve  # ruin by claim
+    u: np.ndarray  # the grid 0, step, 2 step, ...
+    psi1: np.ndarray  # ruin by oscillation
+    psi2: np.ndarray  # ruin by claim
 
 
 def exact_ruin(
@@ -66,8 +45,8 @@ def exact_ruin(
 ):
     """Ultimate ruin probability Psi(u) by inversion of pk_transform.
 
-    u may be a scalar or 0-d array (returns a float) or an array (returns an
-    array of its shape). u = 0 is filled without inversion: exactly 1 when
+    u may be a scalar or 0-d array (returns a float) or an array of any
+    shape and order (returns an array of its shape, _kernels._like). u = 0 is filled without inversion: exactly 1 when
     sigma > 0, and 1 - q on the classical sigma = 0 pathway. With sigma > 0,
     every u with tau*q*u < 2**-54 is filled with 1 too, the value that
     psi(u) = 1 - tau*q*u + O(u^2) rounds to. Every other u goes through one
@@ -78,9 +57,7 @@ def exact_ruin(
     quadrature order and raises InversionError at the first u where the two
     disagree beyond 1e-6 or either is not finite.
     """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if not np.all(np.isfinite(u_arr) & (u_arr >= 0.0)):
-        raise ValueError("u must be finite and nonnegative")
+    u_arr = _points(u).ravel()
     top = 1.0 if model.sigma > 0.0 else 1.0 - model.q  # psi(0)
     out = np.full(u_arr.shape, top)
     by_inversion = u_arr > 0.0
@@ -96,7 +73,7 @@ def exact_ruin(
             model.pk_transform, u_arr[by_inversion], method=method, degree=degree, check_tol=1e-6
         )
         out[by_inversion] = np.minimum(values, top)  # psi is nonincreasing
-    return float(out[0]) if np.ndim(u) == 0 else out
+    return _like(out, u)
 
 
 def decompose_ruin(
@@ -105,10 +82,11 @@ def decompose_ruin(
     """Solve the two renewal equations on the grid 0, step, 2 step, ...,
     up to the largest multiple of step not above u_max (to 1e-12 relative).
 
-    The march runs internally at step/refine and is subsampled back; the
-    trapezoid error is O(h^2), so refine=4 buys a 16x accuracy factor. The
-    two equations share their kernel and factor, so one volterra_march call
-    solves both, with the same values as two separate marches.
+    Returns the grid u and psi1, psi2 on it as plain arrays. The march runs
+    internally at step/refine and is subsampled back; the trapezoid error is
+    O(h^2), so refine=4 buys a 16x accuracy factor. The two equations share
+    their kernel and factor, so one volterra_march call solves both, with
+    the same values as two separate marches.
     """
     if model.sigma == 0.0:
         raise ValueError("the cause split requires a diffusion term (sigma > 0)")
@@ -134,8 +112,4 @@ def decompose_ruin(
     h3_tail, h3_pdf = model.claims._ladder(grid, tau)
     forcing = np.stack((h1_tail, (1.0 - q) * (h3_tail - h1_tail)))
     psi1, psi2 = volterra_march(forcing, h3_pdf, 1.0 - q, h)
-    out = grid[::refine]
-    return DecompositionCurves(
-        psi1=RuinCurve("oscillation_ruin", out, psi1[::refine]),
-        psi2=RuinCurve("claim_ruin", out, psi2[::refine]),
-    )
+    return DecompositionCurves(u=grid[::refine], psi1=psi1[::refine], psi2=psi2[::refine])

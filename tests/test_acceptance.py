@@ -45,8 +45,8 @@ def _table_columns(model, u):
     pair = panjer_bounds(model, TABLE_LATTICE, u, convention="published")
     return {
         "exact": np.array([exact_ruin(model, x) for x in u]),
-        "dg_lower": pair.lower.values,
-        "dg_upper": pair.upper.values,
+        "dg_lower": pair.lower,
+        "dg_upper": pair.upper,
         "4me": de_vylder_ruin(model, u),
         "ren2": renyi_approx(model, u),
         "pkdv3": pkdv_approx(model, 3, u),
@@ -191,11 +191,11 @@ def test_criterion_07(capsys):
         pair = panjer_bounds(model, 0.1, lattice, convention="strict")
         exact = np.array([exact_ruin(model, x) for x in lattice])
         checked += lattice.size
-        bad += int(np.sum(~((pair.lower.values <= exact) & (exact <= pair.upper.values))))
+        bad += int(np.sum(~((pair.lower <= exact) & (exact <= pair.upper))))
     widths = []
     for w in (0.2, 0.1, 0.05):
         pair = panjer_bounds(EXP, w, [1.0], convention="strict")
-        widths.append(float(pair.upper.values[0] - pair.lower.values[0]))
+        widths.append(float(pair.upper[0] - pair.lower[0]))
     shrinks = widths[0] > widths[1] > widths[2]
     ok = bad == 0 and shrinks
     detail = (
@@ -225,10 +225,10 @@ def test_criterion_08(capsys):
 def test_criterion_09(capsys):
     t0 = time.perf_counter()
     curves = decompose_ruin(EXP, 20.0, step=0.01)
-    exact = np.array([exact_ruin(EXP, x) for x in curves.psi1.u])
-    gap = float(np.max(np.abs(curves.psi1.values + curves.psi2.values - exact)))
+    exact = np.array([exact_ruin(EXP, x) for x in curves.u])
+    gap = float(np.max(np.abs(curves.psi1 + curves.psi2 - exact)))
     elapsed = time.perf_counter() - t0
-    boundary_ok = curves.psi1.values[0] == 1.0 and curves.psi2.values[0] == 0.0
+    boundary_ok = curves.psi1[0] == 1.0 and curves.psi2[0] == 0.0
     ok = boundary_ok and gap <= 1e-4 and elapsed < 30.0
     detail = (
         f"cause split on [0,20] step 0.01: boundary (1, 0) is {boundary_ok}, "
@@ -246,7 +246,7 @@ def test_criterion_10(capsys):
     clause1 = 0.0 <= deficit <= 3.0 * est.std_err
 
     curves = decompose_ruin(EXP, 1.0, step=0.01)
-    psi1, psi2 = curves.psi1.values[-1], curves.psi2.values[-1]
+    psi1, psi2 = curves.psi1[-1], curves.psi2[-1]
     split_ref = psi2 / (psi1 + psi2)  # share of ruin caused by a claim
     n_ruined = est.n_ruined_by_claim + est.n_ruined_by_oscillation
     split_mc = est.n_ruined_by_claim / n_ruined

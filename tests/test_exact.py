@@ -10,7 +10,6 @@ from ruinkit import (
     Gamma,
     InversionError,
     PerturbedModel,
-    RuinCurve,
     de_vylder_ruin,
     decompose_ruin,
     exact_ruin,
@@ -162,35 +161,21 @@ def test_monotone_decreasing(exp_model):
     assert np.all(np.diff(vals) < 0)
 
 
-class TestRuinCurve:
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError):
-            RuinCurve("x", np.array([0.0, 1.0]), np.array([1.0]))
-
-    def test_validates_monotone_grid(self):
-        with pytest.raises(ValueError):
-            RuinCurve("x", np.array([0.0, 2.0, 1.0]), np.array([1.0, 0.5, 0.4]))
-
-    def test_iterates_pairs(self):
-        c = RuinCurve("x", np.array([0.0, 1.0]), np.array([1.0, 0.5]))
-        assert list(c) == [(0.0, 1.0), (1.0, 0.5)]
-
-
 class TestDecomposition:
     def test_boundary_values(self, exp_model):
         dec = decompose_ruin(exp_model, 1.0, step=0.01)
-        assert dec.psi1.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert dec.psi2.values[0] == pytest.approx(0.0, abs=1e-12)
+        assert dec.psi1[0] == pytest.approx(1.0, abs=1e-12)
+        assert dec.psi2[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_split_at_one(self, exp_model):
         dec = decompose_ruin(exp_model, 1.0, step=0.01)
-        assert dec.psi1.values[-1] == pytest.approx(0.36109069253360404, rel=1e-10)
-        assert dec.psi2.values[-1] == pytest.approx(0.6280961350848746, rel=1e-10)
+        assert dec.psi1[-1] == pytest.approx(0.36109069253360404, rel=1e-10)
+        assert dec.psi2[-1] == pytest.approx(0.6280961350848746, rel=1e-10)
 
     def test_sum_matches_exact(self, exp_model):
         dec = decompose_ruin(exp_model, 5.0, step=0.01)
-        total = dec.psi1.values + dec.psi2.values
-        exact = de_vylder_ruin(exp_model, dec.psi1.u)
+        total = dec.psi1 + dec.psi2
+        exact = de_vylder_ruin(exp_model, dec.u)
         assert np.max(np.abs(total - exact)) < 1e-5
 
     def test_refinement_helps(self, exp_model):
@@ -198,20 +183,20 @@ class TestDecomposition:
         errs = {}
         for refine in (1, 4):
             dec = decompose_ruin(exp_model, 5.0, step=0.01, refine=refine)
-            total = dec.psi1.values + dec.psi2.values
+            total = dec.psi1 + dec.psi2
             if u_ref is None:
-                u_ref = de_vylder_ruin(exp_model, dec.psi1.u)
+                u_ref = de_vylder_ruin(exp_model, dec.u)
             errs[refine] = np.max(np.abs(total - u_ref))
         assert errs[4] < errs[1]
         assert errs[1] < 1e-4  # coarse march is still usable
 
     def test_oscillation_part_decreasing(self, exp_model):
         dec = decompose_ruin(exp_model, 5.0, step=0.05)
-        assert np.all(np.diff(dec.psi1.values) < 0)
+        assert np.all(np.diff(dec.psi1) < 0)
 
     def test_claim_part_nonnegative(self, gamma_model):
         dec = decompose_ruin(gamma_model, 5.0, step=0.05)
-        assert np.all(dec.psi2.values >= 0)
+        assert np.all(dec.psi2 >= 0)
 
     def test_validation(self, exp_model):
         with pytest.raises(ValueError):
@@ -240,8 +225,8 @@ class TestDecomposition:
     def test_refine_may_be_a_numpy_integer(self, exp_model):
         dec = decompose_ruin(exp_model, 1.0, step=0.05, refine=np.int64(2))
         ref = decompose_ruin(exp_model, 1.0, step=0.05, refine=2)
-        assert np.array_equal(dec.psi1.values, ref.psi1.values)
-        assert np.array_equal(dec.psi2.values, ref.psi2.values)
+        assert np.array_equal(dec.psi1, ref.psi1)
+        assert np.array_equal(dec.psi2, ref.psi2)
 
     def test_sigma_zero_has_no_split(self):
         classical = PerturbedModel(Exponential(1.0), lam=1.0, sigma=0.0, loading=0.1)
@@ -254,7 +239,7 @@ class TestDecomposition:
             decompose_ruin(exp_model, 10.0, step=2.0)
         with pytest.raises(ValueError, match="step too coarse"):
             decompose_ruin(exp_model, 10.0, step=0.5, refine=1)
-        assert decompose_ruin(exp_model, 10.0, step=0.5, refine=2).psi1.u[-1] == 10.0
+        assert decompose_ruin(exp_model, 10.0, step=0.5, refine=2).u[-1] == 10.0
 
     @pytest.mark.parametrize("u_max, step, last", [
         (1.0, 0.6, 0.6),  # 1/0.6 rounds up to 2, and the grid once ended at 1.2
@@ -267,11 +252,6 @@ class TestDecomposition:
         (0.1, 0.01, 0.1),
     ])
     def test_grid_ends_at_the_last_step_not_above_u_max(self, exp_model, u_max, step, last):
-        u = decompose_ruin(exp_model, u_max, step=step).psi1.u
+        u = decompose_ruin(exp_model, u_max, step=step).u
         assert u.size == round(last / step) + 1
         assert u[-1] == pytest.approx(last, rel=1e-12)
-
-    def test_labels(self, exp_model):
-        dec = decompose_ruin(exp_model, 1.0, step=0.1)
-        assert dec.psi1.method == "oscillation_ruin"
-        assert dec.psi2.method == "claim_ruin"

@@ -431,7 +431,7 @@ def test_estimate_within_band(heavy_loading_model):
 def test_split_matches_decomposition(heavy_loading_model):
     est = simulate_ruin(SimConfig(heavy_loading_model, u=1.0, n_paths=20000, seed=7))
     dec = decompose_ruin(heavy_loading_model, 1.0, step=0.01)
-    share_dec = dec.psi2.values[-1] / (dec.psi1.values[-1] + dec.psi2.values[-1])
+    share_dec = dec.psi2[-1] / (dec.psi1[-1] + dec.psi2[-1])
     n_ruined = est.n_ruined_by_claim + est.n_ruined_by_oscillation
     share_mc = est.n_ruined_by_claim / n_ruined
     se_share = np.sqrt(share_dec * (1.0 - share_dec) / n_ruined)
