@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._kernels import _like
+from ._kernels import _count, _like
 
 __all__ = ["invert", "talbot", "euler", "InversionError"]
 
@@ -38,12 +38,7 @@ def _grid(t, degree, name: str):
     tc = np.asarray(t, dtype=float).reshape(-1, 1)
     if not np.all(tc > 0.0):
         raise ValueError(f"{name} requires t > 0")
-    # int() would run 2.5 as 2 nodes and True as 1, under the degree given
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"inversion degree must be an integer, got {degree!r}")
-    if degree < 1:
-        raise ValueError(f"inversion degree must be at least 1, got {degree!r}")
-    return tc, int(degree)
+    return tc, _count("inversion degree", degree)
 
 
 def talbot(transform, t, degree: int = 24):

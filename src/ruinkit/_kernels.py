@@ -116,7 +116,7 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# the one result rule of every route and pointwise claim method
+# the one input rule and the one result rule of every route and claim method
 # ---------------------------------------------------------------------------
 
 
@@ -127,6 +127,36 @@ def _points(u):
     if not np.all(np.isfinite(arr) & (arr >= 0.0)):
         raise ValueError("u must be finite and nonnegative")
     return arr
+
+
+def _positive(name, value, zero=False):
+    """value as a float; ValueError unless it is one finite real number above
+    0 (or at least 0 with zero=True). A bool, a string, a complex number,
+    None and an array of more than one element are refused."""
+    number = value
+    if type(value) is not float:  # a plain float skips numpy
+        arr = np.asarray(value)
+        # a bool, string, complex, None or int beyond 64 bits is not of kind i, u or f
+        number = float(arr.reshape(())) if arr.size == 1 and arr.dtype.kind in "iuf" else math.nan
+    if not (number >= 0.0 if zero else number > 0.0) or not number < math.inf:
+        rule = "nonnegative" if zero else "positive"
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    return number
+
+
+def _count(name, value, least=1, most=None):
+    """value as an int; ValueError unless it is a non-bool int or numpy
+    integer in least..most (most None: no upper end)."""
+    if type(value) is not int:  # a plain int skips the type test
+        # a float would be truncated silently, a bool counted as 0 or 1
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < least or (most is not None and value > most):
+        if most is None:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer in {least}..{most}, got {value!r}")
+    return value
 
 
 def _like(values, x):

@@ -27,7 +27,7 @@ from math import inf, nextafter, prod, sqrt
 
 import numpy as np
 
-from ._kernels import _bisect, _like, _points
+from ._kernels import _bisect, _count, _like, _points
 from .claims import Exponential, MixedExponential
 from .model import PerturbedModel
 
@@ -187,6 +187,7 @@ def pkdv_coefficients(model: PerturbedModel, order: int, corrected: bool = False
     that slip is kept as the default so the tabulated column is matched,
     and corrected=True restores sigma^2.
     """
+    order = _count("order", order, 3, 5)
     lam, sigma = model.lam, model.sigma
     cq = model.c * model.q
     eta2s = lam * model.claims.raw_moment(2) + sigma**2
@@ -199,14 +200,12 @@ def pkdv_coefficients(model: PerturbedModel, order: int, corrected: bool = False
         m4 = lam * model.claims.raw_moment(4)
         denom = 2.0 * eta2s * m3 + cq * m4
         return 2.0 * eta2s * m3 / denom, 4.0 * cq * m3 / denom
-    if order == 5:
-        if not corrected:
-            eta2s = lam * model.claims.raw_moment(2) + sigma
-        m4 = lam * model.claims.raw_moment(4)
-        m5 = lam * model.claims.raw_moment(5)
-        denom = 5.0 * eta2s * m4 + 2.0 * cq * m5
-        return 5.0 * eta2s * m4 / denom, 10.0 * cq * m4 / denom
-    raise ValueError(f"order must be 3, 4, or 5, got {order}")
+    if not corrected:
+        eta2s = lam * model.claims.raw_moment(2) + sigma
+    m4 = lam * model.claims.raw_moment(4)
+    m5 = lam * model.claims.raw_moment(5)
+    denom = 5.0 * eta2s * m4 + 2.0 * cq * m5
+    return 5.0 * eta2s * m4 / denom, 10.0 * cq * m4 / denom
 
 
 def pkdv_approx(model: PerturbedModel, order: int, u, corrected: bool = False) -> float | np.ndarray:

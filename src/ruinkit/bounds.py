@@ -48,7 +48,7 @@ from math import ceil, exp, expm1
 import numpy as np
 
 # lattice_convolve is no longer called here; perfbench/tracing.py rebinds it at this name
-from ._kernels import _decay_scan, _like, _points, lattice_convolve, panjer_compound  # noqa: F401
+from ._kernels import _count, _decay_scan, _like, _points, _positive, lattice_convolve, panjer_compound  # noqa: F401
 from .model import PerturbedModel
 
 __all__ = ["DiscretizedLadder", "BoundPair", "discretize_ladder", "panjer_bounds"]
@@ -76,13 +76,12 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
     p_n^- = H3((n+1)w) - H3(nw): mass of [nw, (n+1)w) pushed down to nw.
     p_n^+ = H3(nw) - H3((n-1)w) with p_0^+ = 0: mass pushed up. Cells and
     mass deficit are differences of one ladder-tail evaluation at the cell
-    edges, which is kept as `tail`.
+    edges, which is kept as `tail`. lattice_width must be one finite positive
+    number and n_points an integer of at least 1 (_kernels._positive and
+    _count): a bool, a string or an array is refused.
     """
-    _check_width(lattice_width)
-    if isinstance(n_points, bool) or not isinstance(n_points, (int, np.integer)):
-        raise ValueError(f"n_points must be an integer, got {n_points!r}")
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+    lattice_width = _positive("lattice_width", lattice_width)
+    n_points = _count("n_points", n_points)
     edges = np.arange(n_points + 1) * lattice_width
     tail = model.claims._ladder(edges, model.tau)[0]
     p_lower = tail[:-1] - tail[1:]  # cell n covers [n*w, (n+1)*w)
@@ -90,17 +89,12 @@ def discretize_ladder(model: PerturbedModel, lattice_width: float, n_points: int
     p_upper[0] = 0.0
     p_upper[1:] = p_lower[:-1]
     return DiscretizedLadder(
-        lattice_width=float(lattice_width),
+        lattice_width=lattice_width,
         p_lower=p_lower,
         p_upper=p_upper,
         mass_deficit=float(tail[-2]),  # 1 - sum(p_upper)
         tail=tail,
     )
-
-
-def _check_width(lattice_width: float) -> None:
-    if not 0.0 < lattice_width < np.inf:
-        raise ValueError(f"lattice_width must be finite and positive, got {lattice_width!r}")
 
 
 def _with_record(tail: np.ndarray, span: float) -> np.ndarray:
@@ -152,7 +146,7 @@ def panjer_bounds(
     u_arr = _points(u_grid)
     if convention not in ("published", "strict"):
         raise ValueError(f"unknown convention {convention!r}")
-    _check_width(lattice_width)
+    lattice_width = _positive("lattice_width", lattice_width)
     u_max = float(u_arr.max()) if u_arr.size else 0.0
     n_points = ceil(u_max / lattice_width - 1e-12) + 1
 
@@ -183,5 +177,5 @@ def panjer_bounds(
     return BoundPair(
         lower=_like(low_vals, u_grid),
         upper=_like(up_vals, u_grid),
-        lattice_width=float(lattice_width),
+        lattice_width=lattice_width,
     )

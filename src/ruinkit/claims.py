@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from ._kernels import _decay_scan, _gamma_claim, _incomplete_gamma, _like
+from ._kernels import _count, _decay_scan, _gamma_claim, _incomplete_gamma, _like, _positive
 
 __all__ = [
     "ClaimDistribution",
@@ -82,12 +82,6 @@ class ClaimDistribution(ABC):
     @abstractmethod
     def raw_moment(self, k: int) -> float:
         """E[X^k] in closed form for k = 1..5."""
-
-    def _check_order(self, k: int) -> None:
-        if not isinstance(k, (int, np.integer)) or not 1 <= k <= _MAX_MOMENT_ORDER:
-            raise ValueError(
-                f"moment order must be an integer in 1..{_MAX_MOMENT_ORDER}, got {k!r}"
-            )
 
     @property
     def mean(self) -> float:
@@ -203,8 +197,7 @@ class ClaimDistribution(ABC):
         H3 = (integrated_tail - J) / mean instead, which is relative near 0.
         Both entries are arrays of x's shape.
         """
-        if not 0.0 < tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {tau!r}")
+        tau = _positive("tau", tau)
         arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("x must be finite")
@@ -279,11 +272,6 @@ def _gl_rule(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _check_parameter(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------------
@@ -297,14 +285,14 @@ class Gamma(ClaimDistribution):
     rate: float
 
     def __post_init__(self):
-        _check_parameter("shape", self.shape)
-        _check_parameter("rate", self.rate)
+        object.__setattr__(self, "shape", _positive("shape", self.shape))
+        object.__setattr__(self, "rate", _positive("rate", self.rate))
 
     def _mc_claims(self, u, state):
         return _gamma_claim(state, self.shape, self.rate)[None]
 
     def raw_moment(self, k: int) -> float:
-        self._check_order(k)
+        k = _count("moment order", k, 1, _MAX_MOMENT_ORDER)
         num = 1.0
         for j in range(k):
             num *= self.shape + j
@@ -349,14 +337,10 @@ class MixedExponential(ClaimDistribution):
     _mc_draws = 2  # the component, then the exponential claim
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "rates", tuple(float(b) for b in self.rates))
+        object.__setattr__(self, "weights", tuple(_positive("weight", w) for w in self.weights))
+        object.__setattr__(self, "rates", tuple(_positive("rate", b) for b in self.rates))
         if len(self.weights) != len(self.rates) or not self.weights:
             raise ValueError("weights and rates must be equal-length, nonempty")
-        for w in self.weights:
-            _check_parameter("weight", w)
-        for b in self.rates:
-            _check_parameter("rate", b)
         if abs(sum(self.weights) - 1.0) > 1e-6:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, expected 1")
 
@@ -369,7 +353,7 @@ class MixedExponential(ClaimDistribution):
         return -np.log(u[:, 1]) / np.take(self.rates, comp)
 
     def raw_moment(self, k: int) -> float:
-        self._check_order(k)
+        k = _count("moment order", k, 1, _MAX_MOMENT_ORDER)
         fact = math.factorial(k)
         return sum(w * fact / b**k for w, b in zip(self.weights, self.rates))
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import approx as approx_mod
 from ._inversion import InversionError
+from ._kernels import _count, _points, _positive
 from .bounds import panjer_bounds
 from .claims import ClaimDistribution, Exponential, Gamma, MixedExponential
 from .coefficients import NoRootError, adjustment_coefficient, lundberg_bound, renyi_coefficient
@@ -124,11 +125,9 @@ def parse_model(text: str) -> PerturbedModel:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         # + 0.0 turns a -0 point into 0, so it does not print as -0.000000
-        grid = np.array([float(x) for x in text.split(",")], dtype=float) + 0.0
+        grid = _points([float(x) for x in text.split(",")]) + 0.0
     except ValueError as exc:
         raise UsageError(f"bad u grid {text!r}: {exc}") from exc
-    if not np.all((grid >= 0.0) & (grid < np.inf)):
-        raise UsageError(f"u grid points must be finite and non-negative, got {text!r}")
     if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise UsageError("u grid must be strictly increasing")
     return grid
@@ -548,8 +547,7 @@ def main(argv=None) -> int:
         for key, value in _DEFAULTS.items():
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, value)
-        if args.precision < 1:
-            raise UsageError("precision must be at least 1")
+        _flag(_count, "precision", args.precision)
         if not args.model:
             raise UsageError(f"{args.command} requires --model (flag or config file)")
         model = parse_model(args.model)
@@ -581,13 +579,17 @@ def _require(args) -> None:
     for field in need.get(args.command, ()):
         if getattr(args, field, None) is None:
             raise UsageError(f"{args.command} requires --{field}")
-    degree = getattr(args, "degree", None)
-    if degree is not None and degree < 1:
-        raise UsageError(f"--degree must be at least 1, got {degree!r}")
-    for field in ("lattice", "umax", "step"):
-        value = getattr(args, field, None)
-        if value is not None and not 0.0 < value < np.inf:
-            raise UsageError(f"--{field} must be finite and positive, got {value!r}")
+    for field, check in {"degree": _count, "lattice": _positive, "umax": _positive, "step": _positive}.items():
+        if getattr(args, field, None) is not None:
+            _flag(check, f"--{field}", getattr(args, field))
+
+
+def _flag(check, name, value) -> None:
+    """check(name, value) from _kernels, its ValueError raised as a UsageError."""
+    try:
+        check(name, value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 if __name__ == "__main__":

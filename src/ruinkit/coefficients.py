@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernels import _bisect
+from ._kernels import _bisect, _positive
 from .approx import _exponential_sum
 from .model import PerturbedModel
 
@@ -77,9 +77,9 @@ def adjustment_coefficient(model: PerturbedModel) -> AdjustmentResult:
 
 
 def lundberg_bound(model: PerturbedModel, u, R: float | None = None):
-    """Exponential upper bound e^{-R u} on the ultimate ruin probability."""
-    if R is None:
-        R = adjustment_coefficient(model).R
+    """Exponential upper bound e^{-R u} on the ultimate ruin probability; a
+    given R must be one finite positive decay rate."""
+    R = adjustment_coefficient(model).R if R is None else _positive("R", R)
     return _exponential_sum((1.0,), (R,), u)
 
 

@@ -23,7 +23,7 @@ from math import floor
 import numpy as np
 
 from . import _inversion
-from ._kernels import _like, _points, volterra_march
+from ._kernels import _count, _like, _points, _positive, volterra_march
 from ._inversion import InversionError
 from .model import PerturbedModel
 
@@ -86,18 +86,15 @@ def decompose_ruin(
     internally at step/refine and is subsampled back; the trapezoid error is
     O(h^2), so refine=4 buys a 16x accuracy factor. The two equations share
     their kernel and factor, so one volterra_march call solves both, with
-    the same values as two separate marches.
+    the same values as two separate marches. u_max and step must each be one
+    finite positive number and refine an integer of at least 1
+    (_kernels._positive and _count): a bool, a string or an array is refused.
     """
     if model.sigma == 0.0:
         raise ValueError("the cause split requires a diffusion term (sigma > 0)")
-    for name, value in (("u_max", u_max), ("step", step)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    # 2.5 would fail only after the march, at the subsampling slice, and True run as 1
-    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)):
-        raise ValueError(f"refine must be an integer, got {refine!r}")
-    if refine < 1:
-        raise ValueError("refine must be at least 1")
+    u_max = _positive("u_max", u_max)
+    step = _positive("step", step)
+    refine = _count("refine", refine)
     tau = model.tau
     h = step / refine
     if tau * h >= 1.0:

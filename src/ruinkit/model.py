@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._kernels import _positive
 from .claims import ClaimDistribution
 
 __all__ = ["PerturbedModel", "CentralMoments"]
@@ -49,20 +50,16 @@ class PerturbedModel:
     premium_rate: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError("claim intensity lam must be finite and positive")
-        if not 0.0 <= self.sigma < np.inf:
-            raise ValueError("sigma must be finite and nonnegative")
+        object.__setattr__(self, "lam", _positive("claim intensity lam", self.lam))
+        object.__setattr__(self, "sigma", _positive("sigma", self.sigma, zero=True))
         mu1 = self.claims.raw_moment(1)
         if (self.loading is None) == (self.premium_rate is None):
             raise ValueError("give exactly one of loading or premium_rate")
         if self.loading is not None:
-            if not 0.0 < self.loading < np.inf:
-                raise ValueError("loading must be finite and positive")
+            object.__setattr__(self, "loading", _positive("loading", self.loading))
             object.__setattr__(self, "premium_rate", (1.0 + self.loading) * self.lam * mu1)
         else:
-            if not self.premium_rate < np.inf:
-                raise ValueError("premium_rate must be finite")
+            object.__setattr__(self, "premium_rate", _positive("premium_rate", self.premium_rate))
             object.__setattr__(self, "loading", self.premium_rate / (self.lam * mu1) - 1.0)
         if not self.premium_rate - self.lam * mu1 > 0.0:
             raise ValueError("net profit condition violated: c <= lam * mu1")
@@ -70,10 +67,10 @@ class PerturbedModel:
         # unlike sigma**2, cannot raise on overflow, and the quotient is taken
         # only once the square is known not to have underflowed to 0
         if self.sigma > 0.0:
-            square = float(self.sigma) * float(self.sigma)
+            square = self.sigma * self.sigma
             if not square < np.inf:
                 raise ValueError(f"sigma = {self.sigma!r} is too large: sigma^2 is not a finite float")
-            if not (square > 0.0 and 2.0 * float(self.premium_rate) / square < np.inf):
+            if not (square > 0.0 and 2.0 * self.premium_rate / square < np.inf):
                 raise ValueError(
                     f"sigma = {self.sigma!r} is so small that tau = 2c/sigma^2 is not "
                     "a finite float; use sigma=0 for a model without diffusion"
@@ -109,10 +106,8 @@ class PerturbedModel:
         3*sigma^4*t^2 is added (adding it would double count: the fourth
         central moment of any Levy increment is kappa4 + 3*kappa2^2).
         """
-        if not 0.0 < t < np.inf:
-            raise ValueError("t must be finite and positive")
-        if not 0.0 <= u < np.inf:
-            raise ValueError("u must be finite and nonnegative")
+        t = _positive("t", t)
+        u = _positive("u", u, zero=True)
         m = [self.claims.raw_moment(k) for k in range(1, 6)]
         lt = self.lam * t
         nu2 = lt * m[1] + self.sigma**2 * t

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-import numpy as np
-
-from ._kernels import mc_ruin_paths
+from ._kernels import _count, _positive, mc_ruin_paths
 from .model import PerturbedModel
 
 __all__ = ["SimConfig", "SimEstimate", "simulate_ruin"]
@@ -24,6 +22,12 @@ __all__ = ["SimConfig", "SimEstimate", "simulate_ruin"]
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One Monte Carlo run. u is a finite number of at least 0, horizon
+    None or a finite positive number, n_paths an integer of at least 1 and
+    seed an integer in 0..2^64 - 1 (_kernels._positive and _count): a bool,
+    a string or an array is refused, and a float count or seed is not
+    truncated. The fields hold the checked Python float or int."""
+
     model: PerturbedModel
     u: float
     n_paths: int
@@ -31,24 +35,16 @@ class SimConfig:
     horizon: float | None = None  # None: 50 mean-drift time constants
 
     def __post_init__(self):
-        if not 0.0 <= self.u < np.inf:
-            raise ValueError("initial surplus u must be finite and nonnegative")
-        for name in ("n_paths", "seed"):
-            value = getattr(self, name)
-            # a float would be truncated silently, a bool counted as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be in [0, 2**64)")
+        object.__setattr__(self, "u", _positive("initial surplus u", self.u, zero=True))
+        object.__setattr__(self, "n_paths", _count("n_paths", self.n_paths))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, 2**64 - 1))
         # an infinite (or NaN) horizon never ends a surviving path
-        if self.horizon is not None and not 0.0 < self.horizon < np.inf:
-            raise ValueError("horizon must be finite and positive")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", _positive("horizon", self.horizon))
 
     def resolved_horizon(self) -> float:
         if self.horizon is not None:
-            return float(self.horizon)
+            return self.horizon
         m = self.model
         return 50.0 / (m.c - m.lam * m.claims.mean)
 
@@ -74,7 +70,7 @@ def simulate_ruin(config: SimConfig) -> SimEstimate:
     model = config.model
     horizon = config.resolved_horizon()
     n_osc, n_claim = mc_ruin_paths(config.seed, config.n_paths, config.u, model, horizon)
-    n = int(config.n_paths)
+    n = config.n_paths
     p_hat = (n_osc + n_claim) / n
     return SimEstimate(
         ruin_freq=p_hat,
@@ -83,5 +79,5 @@ def simulate_ruin(config: SimConfig) -> SimEstimate:
         n_ruined_by_oscillation=int(n_osc),
         n_paths=n,
         horizon=horizon,
-        seed=int(config.seed),
+        seed=config.seed,
     )

@@ -134,6 +134,12 @@ class TestLundbergBound:
     def test_explicit_rate_override(self, exp_model):
         assert lundberg_bound(exp_model, 10.0, R=0.01) == pytest.approx(math.exp(-0.1), rel=1e-12)
 
+    @pytest.mark.parametrize("R", [-1.0, np.nan])
+    def test_a_given_rate_must_be_a_decay_rate(self, exp_model, R):
+        # e^{-R u} would read 7.389 at R = -1, u = 2: no bound on a probability
+        with pytest.raises(ValueError, match="R must be finite and positive"):
+            lundberg_bound(exp_model, 2.0, R=R)
+
     def test_bounds_the_exact_curve(self, exp_model):
         from ruinkit import de_vylder_ruin  # exact closed form here
 

@@ -2,7 +2,9 @@
 0-d argument gives a Python float (complex at a complex point), an array
 keeps its shape and its order, and each value is the one the same points
 give as one sorted 1-d array (so a complex scalar Gamma.mgf is its
-one-element array's value). The rule lives in _kernels._like alone."""
+one-element array's value). The rule lives in _kernels._like alone, as the
+input rule of every scalar argument lives in _kernels._positive and _count
+(tests/test_input_rule.py)."""
 
 import ast
 from pathlib import Path
@@ -145,3 +147,25 @@ def test_the_result_rule_lives_in_like_alone():
     assert copies == []
     named = [path.name for path in sorted(src.parent.rglob("*.py")) if "RuinCurve" in path.read_text()]
     assert named == []
+
+
+def _input_rule_copies(path):
+    """isinstance(..., bool), a check's message or an old check's name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                yield f"{path.name}:{node.lineno}: isinstance(..., bool)"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if "must be finite and" in node.value or "must be an integer" in node.value:
+                yield f"{path.name}:{node.lineno}: {node.value!r}"
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in ("_check_parameter", "_check_width"):
+            yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_the_input_rule_lives_in_the_two_helpers_alone():
+    # every scalar check is _kernels._positive or _kernels._count, beside _points
+    src = Path(ruinkit.__file__).resolve().parent
+    copies = [line for path in sorted(src.rglob("*.py")) if path.name != "_kernels.py" for line in _input_rule_copies(path)]
+    assert copies == []
